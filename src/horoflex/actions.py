@@ -114,10 +114,3 @@ def semi_invariant_weight(
         elif seen != pair:
             return None
     return seen
-
-
-def commutes(a: DiagonalTorusAction, b: DiagonalTorusAction) -> bool:
-    """Diagonal actions always commute; this guards future non-diagonal kinds."""
-    if not isinstance(a, DiagonalTorusAction) or not isinstance(b, DiagonalTorusAction):
-        raise TypeError("only diagonal actions are supported")
-    return True

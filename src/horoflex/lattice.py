@@ -1,8 +1,11 @@
 """Exact integer lattices and rational polyhedral cones.
 
-Everything in this module is computed over arbitrary-precision integers and
-``fractions.Fraction``; no floating point is used anywhere.  Scale target is
-small ambient rank (interactive use), not bulk polyhedral computation.
+Everything in this module is computed over arbitrary-precision integers; no
+floating point is used anywhere.  Ranks, left solves, kernels and lineality
+projections share one fraction-free (Bareiss) elimination kernel that rejects
+rows of mixed or wrong rank; ``Fraction`` appears only in ``solve_left``'s
+rational results.  Scale target is small ambient rank (interactive use), not
+bulk polyhedral computation.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -91,29 +94,60 @@ def fraction_primitive(u: Sequence[Fraction]) -> Vec:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra (Fraction based)
+# exact linear algebra (one fraction-free integer kernel)
 
 
-def matrix_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
+def _check_width(rows: Sequence[Sequence[int]], width: int) -> None:
+    if any(len(r) != width for r in rows):
+        raise DimensionMismatchError(f"every row must have rank {width}")
+
+
+def _eliminate(
+    work: list[Sequence[int]], ncols: int, pivot_rows: int, reduce: bool
+) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) Gaussian elimination of integer rows, in place.
+
+    Each of columns ``0..ncols-1`` takes as pivot the first of rows
+    ``rank..pivot_rows-1`` nonzero there (later rows never pivot).  Rows
+    below the pivot, and above it when ``reduce``, become ``(p * row -
+    row[col] * pivot_row) // prev`` with ``prev`` the previous pivot: exact
+    by Sylvester's identity, so entries stay minors of the input (Bareiss,
+    Math. Comp. 22, 1968).  Returns the pivot columns and the last pivot
+    ``d`` (1 if none); after ``reduce``, pivot row ``r`` holds ``d`` at
+    ``pivots[r]`` and 0 at every other pivot column.
+    """
+    pivots: list[int] = []
+    prev = 1
+    nrows = len(work)
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == pivot_rows:
+            break
+        pick = next((i for i in range(rank, pivot_rows) if work[i][col]), None)
+        if pick is None:
+            continue
+        work[rank], work[pick] = work[pick], work[rank]
+        prow = work[rank]
+        p = prow[col]
+        for i in range(0 if reduce else rank + 1, nrows):
+            if i == rank:
+                continue
+            row = work[i]
+            f = row[col]
+            if f:
+                work[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+            elif p != prev:
+                work[i] = [p * a // prev for a in row]
+        pivots.append(col)
+        prev = p
+    return pivots, prev
+
+
+def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
     if not rows:
         return 0
-    work = [[Fraction(x) for x in r] for r in rows]
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = work[rank][col]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                factor = work[i][col] / inv
-                work[i] = [a - factor * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    _check_width(rows, len(rows[0]))
+    return len(_eliminate(list(rows), len(rows[0]), len(rows), reduce=False)[0])
 
 
 def solve_left(
@@ -126,64 +160,37 @@ def solve_left(
     """
     m = len(rows)
     if m == 0:
-        return () if all(Fraction(t) == 0 for t in target) else None
+        return () if all(t == 0 for t in target) else None
     n = len(rows[0])
     if len(target) != n:
         raise DimensionMismatchError("target rank does not match row rank")
-    # augmented system over the unknown row-combination coefficients
-    aug = [[Fraction(rows[i][j]) for i in range(m)] + [Fraction(target[j])] for j in range(n)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(m):
-        pivot = next((i for i in range(row, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = aug[row][col]
-        aug[row] = [a / inv for a in aug[row]]
-        for i in range(n):
-            if i != row and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-    for i in range(row, n):
-        if aug[i][m] != 0:
-            return None
-    solution = [Fraction(0)] * m
-    for r, col in enumerate(pivots):
-        solution[col] = aug[r][m]
-    return tuple(solution)
+    _check_width(rows, n)
+    # one equation per coordinate; a rational target is scaled to integers
+    scale = lcm(*(t.denominator for t in target))
+    column = [t.numerator * (scale // t.denominator) for t in target]
+    aug = list(zip(*rows, column))
+    pivots, d = _eliminate(aug, m, n, reduce=True)
+    if any(row[m] for row in aug[len(pivots):]):
+        return None
+    value = {col: row[m] for col, row in zip(pivots, aug)}
+    return tuple(Fraction(value.get(col, 0), d * scale) for col in range(m))
 
 
 def integer_kernel_basis(rows: Sequence[Vec], ambient_rank: int) -> list[Vec]:
     """Primitive basis of ``{x : rows @ x = 0}`` over the integers (HNF rows)."""
     if not rows:
         return [hermite_row(i, ambient_rank) for i in range(ambient_rank)]
-    work = [[Fraction(x) for x in r] for r in rows]
-    pivots: list[int] = []
-    row = 0
-    for col in range(ambient_rank):
-        pivot = next((i for i in range(row, len(work)) if work[i][col] != 0), None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        inv = work[row][col]
-        work[row] = [a / inv for a in work[row]]
-        for i in range(len(work)):
-            if i != row and work[i][col] != 0:
-                factor = work[i][col]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[row])]
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(ambient_rank) if c not in pivots]
+    work = list(rows)
+    _check_width(work, ambient_rank)
+    pivots, d = _eliminate(work, ambient_rank, len(work), reduce=True)
     basis = []
-    for c in free:
-        vec = [Fraction(0)] * ambient_rank
-        vec[c] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][c]
-        basis.append(fraction_primitive(vec))
+    for c in range(ambient_rank):
+        if c not in pivots:
+            vec = [0] * ambient_rank
+            vec[c] = d
+            for r, pc in enumerate(pivots):
+                vec[pc] = -work[r][c]
+            basis.append(primitive(vec))
     return [tuple(r) for r in hermite_normal_form(basis)]
 
 
@@ -381,7 +388,8 @@ class RationalCone:
         vecs = sorted({primitive(v) for v in (as_vector(r, ambient_rank) for r in vecs)
                        if not is_zero_vec(v)})
         object.__setattr__(self, "ambient_rank", ambient_rank)
-        eq, ineq = _hrep_from_rays(vecs, ambient_rank)
+        # the dual cone's lineality spans the equality normals, its rays are the facets
+        eq, ineq = generators_from_inequalities(vecs, ambient_rank)
         object.__setattr__(self, "_eq_normals", tuple(eq))
         object.__setattr__(self, "_ineq_normals", tuple(ineq))
         lineality = integer_kernel_basis(list(eq) + list(ineq), ambient_rank)
@@ -427,12 +435,6 @@ class RationalCone:
         return f"RationalCone(rays={list(self.rays)!r}, ambient_rank={self.ambient_rank})"
 
 
-def _hrep_from_rays(rays: list[Vec], n: int) -> tuple[list[Vec], list[Vec]]:
-    # generators of the dual cone; its lineality gives equality normals
-    lines, extreme = generators_from_inequalities(rays, n)
-    return lines, extreme
-
-
 def _canonical_rays(
     gens: list[Vec], eq: Sequence[Vec], ineq: Sequence[Vec], lineality: Sequence[Vec], n: int
 ) -> tuple[Vec, ...]:
@@ -458,13 +460,10 @@ def _quotient_key(g: Vec, lineality: Sequence[Vec]) -> Vec:
     """Canonical label of g modulo the rational span of the lineality basis."""
     if not lineality:
         return g
-    work = [Fraction(x) for x in g]
-    for line in lineality:
-        col = next(j for j, a in enumerate(line) if a != 0)
-        if work[col] != 0:
-            factor = work[col] / line[col]
-            work = [a - factor * b for a, b in zip(work, line)]
-    return fraction_primitive(work)
+    # g rides below the basis rows and ends as det * (g - its projection)
+    work = [*lineality, g]
+    det = _eliminate(work, len(g), len(lineality), reduce=False)[1]
+    return primitive(work[-1] if det > 0 else vneg(work[-1]))
 
 
 def dual_cone(c: RationalCone) -> RationalCone:
@@ -564,7 +563,7 @@ def hilbert_basis(c: RationalCone, subgroup: Optional[LatticeSubgroup] = None) -
             )
         coords.append(fraction_primitive(x))
     k = subgroup.rank
-    eq, ineq = _hrep_from_rays(sorted(set(coords)), k)
+    eq, ineq = generators_from_inequalities(sorted(set(coords)), k)
 
     def in_cone(v: Vec) -> bool:
         return all(dot(e, v) == 0 for e in eq) and all(dot(f, v) >= 0 for f in ineq)

@@ -525,10 +525,6 @@ class Derivation:
         return tuple(sorted(out))
 
 
-def derivation_apply(d: Derivation, p: PolyLike) -> Polynomial:
-    return d.apply(p)
-
-
 @dataclass(frozen=True)
 class NilpotencyCheck:
     """Outcome of the bounded local-nilpotency search.

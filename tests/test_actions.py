@@ -2,7 +2,6 @@ import pytest
 
 from horoflex.actions import (
     DiagonalTorusAction,
-    commutes,
     is_invariant,
     monomial_weight,
     semi_invariant_weight,
@@ -65,9 +64,3 @@ def test_semi_invariant_weight():
 def test_semi_invariant_weight_cyclic():
     p = parse_polynomial("x^2")
     assert semi_invariant_weight(CYCLIC, p) == (4, 2)
-
-
-def test_commutes_diagonal():
-    assert commutes(SCALE, CYCLIC)
-    with pytest.raises(TypeError):
-        commutes(SCALE, object())

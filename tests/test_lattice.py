@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import Matrix
 
 from horoflex.lattice import (
     DimensionMismatchError,
@@ -17,6 +20,7 @@ from horoflex.lattice import (
     is_pointed,
     matrix_rank,
     primitive,
+    solve_left,
 )
 
 from oracles import (
@@ -26,6 +30,7 @@ from oracles import (
     cone_is_pointed,
     in_cone,
     l1_ball,
+    rational_rank,
 )
 
 small_vec = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(tuple)
@@ -65,6 +70,28 @@ def test_matrix_rank():
     assert matrix_rank([]) == 0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: solve_left([(1, 2), (1, 2, 5)], (1, 2)),
+        lambda: solve_left([(1, 2, 5), (1, 2)], (1, 2, 5)),
+        lambda: matrix_rank([(1, 0, 0), (0, 1)]),
+        lambda: matrix_rank([(1, 0), (0, 1, 0)]),
+        lambda: integer_kernel_basis([(1, 1, 1, 9)], 3),
+        lambda: integer_kernel_basis([(1, 1)], 3),
+    ],
+    ids=["solve-long", "solve-short", "rank-short", "rank-long", "kernel-long", "kernel-short"],
+)
+def test_ragged_rows_rejected(call):
+    with pytest.raises(DimensionMismatchError):
+        call()
+
+
+def test_solve_left_rational_target():
+    assert solve_left([(2, 0), (0, 3)], (Fraction(1, 2), 1)) == (Fraction(1, 4), Fraction(1, 3))
+    assert solve_left([(2, 4)], (Fraction(1, 3), 1)) is None
+
+
 def test_hermite_normal_form_canonical():
     assert hermite_normal_form([(2,), (3,)]) == [(1,)]
     assert hermite_normal_form([(1, 2), (0, 3)]) == [(1, 2), (0, 3)]
@@ -96,6 +123,65 @@ def test_lattice_coordinates_roundtrip():
         if coords is not None:
             assert sub.member_vector(coords) == v
             assert sub.contains(v)
+
+
+@st.composite
+def int_matrices(draw):
+    """Up to 8x6 integer matrices: full random, or a low-rank product."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    size = draw(st.sampled_from([3, 10**6, 10**30]))
+    entry = st.integers(-size, size)
+    k = draw(st.integers(0, min(m, n)))
+    if draw(st.booleans()):
+        return [tuple(draw(entry) for _ in range(n)) for _ in range(m)]
+    left = [[draw(st.integers(-3, 3)) for _ in range(k)] for _ in range(m)]
+    right = [[draw(entry) for _ in range(n)] for _ in range(k)]
+    return [
+        tuple(sum(left[i][t] * right[t][j] for t in range(k)) for j in range(n))
+        for i in range(m)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices())
+def test_matrix_rank_matches_independent_routes(rows):
+    assert matrix_rank(rows) == rational_rank(rows) == Matrix(rows).rank()
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices(), st.data())
+def test_solve_left_exact_with_free_unknowns_zero(rows, data):
+    n = len(rows[0])
+    if data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        target = tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n))
+    else:
+        target = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)))
+    x = solve_left(rows, target)
+    consistent = Matrix(rows).rank() == Matrix(rows + [target]).rank()
+    assert (x is not None) == consistent
+    if x is None:
+        return
+    assert all(isinstance(v, Fraction) for v in x)
+    assert tuple(sum(v * r[j] for v, r in zip(x, rows)) for j in range(n)) == target
+    for i in range(len(rows)):
+        # an unknown whose row depends on the earlier rows is free
+        if rational_rank(rows[: i + 1]) == rational_rank(rows[:i]):
+            assert x[i] == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices())
+def test_integer_kernel_basis_matches_sympy_nullspace(rows):
+    n = len(rows[0])
+    ker = integer_kernel_basis(rows, n)
+    assert hermite_normal_form(ker) == ker
+    for v in ker:
+        assert all(dot(r, v) == 0 for r in rows)
+    null = [tuple(v) for v in Matrix(rows).nullspace()]
+    assert len(ker) == len(null) == rational_rank(ker)
+    if ker:
+        assert Matrix(ker + null).rank() == len(ker)
 
 
 # ---------------------------------------------------------------------------
