@@ -177,7 +177,11 @@ def solve_left(
 
 
 def integer_kernel_basis(rows: Sequence[Vec], ambient_rank: int) -> list[Vec]:
-    """Primitive basis of ``{x : rows @ x = 0}`` over the integers (HNF rows)."""
+    """Primitive integer vectors spanning ``{x : rows @ x = 0}`` over Q (HNF rows).
+
+    They need not generate every integer point of the kernel: ``(2, 1, 1)``
+    gives ``(1, 0, -2), (0, 2, -2)``, which miss ``(0, 1, -1)``.
+    """
     if not rows:
         return [hermite_row(i, ambient_rank) for i in range(ambient_rank)]
     work = list(rows)
@@ -540,10 +544,16 @@ def face_lattice(c: RationalCone) -> list[FaceDescriptor]:
 def hilbert_basis(c: RationalCone, subgroup: Optional[LatticeSubgroup] = None) -> list[Vec]:
     """Minimal generating set of the monoid ``c ∩ subgroup`` (c pointed).
 
-    Candidates come from the lattice points of the fundamental parallelepipeds
-    of the maximal linearly independent ray subsets (a bounded enumeration,
-    complete by the conic Caratheodory theorem); irreducible candidates form
-    the unique minimal generating set.
+    Ray coordinates in the subgroup are first rewritten in a basis of the
+    saturated lattice of their span, so the cone is full-dimensional in
+    ``Z^d``.  Each linearly independent ``d``-subset S of rays contributes
+    its rays and one point of each of the |det S| cosets of ``Z^d / Z<S>``,
+    taken in the half-open parallelepiped of S (Bruns & Ichim, J. Algebra
+    324, 2010).  That covers the Hilbert basis: by conic Caratheodory an
+    irreducible point lies in some such simplicial cone, and unless it is a
+    ray of S its coefficients there are all below 1.  Candidates are reduced
+    in order of a positive degree, against the irreducible ones found so
+    far; the irreducible ones form the unique minimal generating set.
     """
     if not is_pointed(c):
         raise NonPointedError("non-pointed: Hilbert basis undefined here")
@@ -554,50 +564,68 @@ def hilbert_basis(c: RationalCone, subgroup: Optional[LatticeSubgroup] = None) -
         raise DimensionMismatchError("subgroup and cone have different ambient ranks")
     if not c.rays:
         return []
-    coords: list[Vec] = []
+    coords: set[Vec] = set()
     for r in c.rays:
         x = subgroup.rational_coordinates(r)
         if x is None:
             raise DimensionMismatchError(
                 "subgroup does not have full rank inside the span of the cone"
             )
-        coords.append(fraction_primitive(x))
-    k = subgroup.rank
-    eq, ineq = generators_from_inequalities(sorted(set(coords)), k)
-
-    def in_cone(v: Vec) -> bool:
-        return all(dot(e, v) == 0 for e in eq) and all(dot(f, v) >= 0 for f in ineq)
-
-    d = matrix_rank(coords)
-    zero = (0,) * k
-    candidates: set[Vec] = set()
-    for subset in combinations(sorted(set(coords)), d):
-        if matrix_rank(subset) < d:
-            continue
-        candidates.update(_parallelepiped_points(subset, k))
-    candidates.discard(zero)
-    cands = sorted(candidates)
+        coords.add(fraction_primitive(x))
+    span = _saturated_span(sorted(coords), subgroup.rank)
+    d = span.rank
+    rays = sorted(span.integer_coordinates(v) for v in coords)
+    # the cone is full-dimensional in Z^d, so it is cut out by its facets alone
+    normals = generators_from_inequalities(rays, d)[1]
+    degree = [sum(col) for col in zip(*normals)]
+    candidates = set(rays)
+    for subset in combinations(rays, d):
+        candidates.update(_parallelepiped_points(subset))
+    candidates.discard((0,) * d)
     basis: list[Vec] = []
-    for h in cands:
-        reducible = False
-        for a in cands:
-            rest = vsub(h, a)
-            if rest != zero and a != h and in_cone(rest):
-                reducible = True
-                break
-        if not reducible:
+    for h in sorted(candidates, key=lambda v: (dot(degree, v), v)):
+        # h - b has lower degree than h, so it is zero only when b == h
+        if not any(all(dot(f, vsub(h, b)) >= 0 for f in normals) for b in basis):
             basis.append(h)
-    return sorted(subgroup.member_vector(h) for h in basis)
+    return sorted(subgroup.member_vector(span.member_vector(h)) for h in basis)
 
 
-def _parallelepiped_points(vecs: Sequence[Vec], k: int) -> set[Vec]:
-    lo = [sum(min(0, v[j]) for v in vecs) for j in range(k)]
-    hi = [sum(max(0, v[j]) for v in vecs) for j in range(k)]
-    points: set[Vec] = set()
-    for z in product(*(range(lo[j], hi[j] + 1) for j in range(k))):
-        lam = solve_left(vecs, z)
-        if lam is None:
-            continue
-        if all(0 <= x <= 1 for x in lam):
-            points.add(tuple(z))
+def _saturated_span(vecs: Sequence[Vec], n: int) -> LatticeSubgroup:
+    """``span_Q(vecs) ∩ Z^n``, the kernel of the kernel of vecs.
+
+    The first kernel only needs to span the rational normals of vecs.  The
+    second must be a basis over the integers: the rows of the Hermite form
+    of ``[normals^T | I]`` that vanish on the normal columns are one.
+    """
+    normals = integer_kernel_basis(vecs, n)
+    if not normals:
+        return LatticeSubgroup(n, tuple(hermite_row(i, n) for i in range(n)))
+    p = len(normals)
+    aug = [tuple(f[j] for f in normals) + hermite_row(j, n) for j in range(n)]
+    kernel = [row[p:] for row in hermite_normal_form(aug) if is_zero_vec(row[:p])]
+    return LatticeSubgroup(n, tuple(hermite_normal_form(kernel)))
+
+
+def _parallelepiped_points(gens: Sequence[Vec]) -> list[Vec]:
+    """One point of each coset of ``Z^d / Z<gens>``, in the half-open parallelepiped.
+
+    ``gens`` are ``d`` vectors of ``Z^d``; linearly dependent ones give [].
+    The Hermite diagonal of gens lists the cosets as a box of
+    representatives x, and x - floor(x gens^-1) gens moves each one into
+    the parallelepiped.
+    """
+    d = len(gens)
+    # [gens | I] reduces to [det * I | det * gens^-1]
+    work: list[Sequence[int]] = [[*g, *hermite_row(i, d)] for i, g in enumerate(gens)]
+    pivots, det = _eliminate(work, d, d, reduce=True)
+    if len(pivots) < d:
+        return []
+    inverse = [row[d:] for row in work]
+    diagonal = [row[i] for i, row in enumerate(hermite_normal_form(gens))]
+    points = []
+    for x in product(*(range(h) for h in diagonal)):
+        shift = [sum(a * row[j] for a, row in zip(x, inverse)) // det for j in range(d)]
+        points.append(tuple(
+            a - sum(s * g[t] for s, g in zip(shift, gens)) for t, a in enumerate(x)
+        ))
     return points

@@ -28,7 +28,7 @@ from .ehm import (
     verify_special_point,
     verify_weight_identity,
 )
-from .lattice import RationalCone, dot, face_lattice
+from .lattice import NonPointedError, RationalCone, dot, group_generated
 from .semigroup import (
     FlexStatus,
     GradingWitness,
@@ -38,6 +38,7 @@ from .semigroup import (
     is_saturated,
     orbit_faces,
     saturate,
+    semigroup_member,
     units_exist,
 )
 
@@ -257,7 +258,7 @@ def build_grading_report(
     spec: DatumSpec, face_index: int, command: str = "grading"
 ) -> dict[str, Any]:
     datum = spec.to_datum()
-    faces = face_lattice(datum.cone)
+    faces = datum.faces
     if not 0 <= face_index < len(faces):
         raise SpecError(
             f"face index {face_index} out of range 0..{len(faces) - 1}"
@@ -410,6 +411,32 @@ def _verify_witnesses(
     return problems
 
 
+def _verify_gap(rank: int, generators: Any, gap: Any) -> list[str]:
+    """Problems with a reported saturation gap, checked against the input.
+
+    A gap must lie in the cone and in the group of the input generators but
+    not in their semigroup.  Membership is decided by descent, a route the
+    verdict itself does not take.
+    """
+    if not isinstance(gap, list) or len(gap) != rank:
+        return ["non-normal verdict without a saturation gap of the input rank"]
+    try:
+        gens = [tuple(g) for g in generators]
+        vec = tuple(gap)
+        problems = []
+        if not RationalCone(gens, rank).contains(vec):
+            problems.append(f"saturation gap {gap} lies outside the cone")
+        if not group_generated(gens).contains(vec):
+            problems.append(f"saturation gap {gap} lies outside the group")
+        if semigroup_member(gens, vec):
+            problems.append(f"saturation gap {gap} lies in the semigroup")
+    except NonPointedError:
+        return ["saturation gap reported for a cone with a line"]
+    except (TypeError, ValueError) as exc:
+        return [f"saturation gap cannot be checked against the input: {exc}"]
+    return problems
+
+
 def verify_check_report(report: dict[str, Any]) -> None:
     """Re-derive every witness invariant from the raw report data.
 
@@ -428,13 +455,16 @@ def verify_check_report(report: dict[str, Any]) -> None:
         if status not in statuses:
             problems.append(f"unknown verdict status {status!r}")
         witnesses = report.get("witnesses", [])
+        gap = report["verdict"].get("saturation_gap")
         if status == FlexStatus.CERTIFIED_FLEXIBLE.value:
-            if report["verdict"].get("saturation_gap") is not None:
+            if gap is not None:
                 problems.append("certified verdict carries a saturation gap")
             if not witnesses:
                 problems.append("certified verdict without witnesses")
         elif witnesses:
             problems.append("witnesses present on a non-certified verdict")
+        if status == FlexStatus.NOT_COVERED_NOT_NORMAL.value:
+            problems.extend(_verify_gap(rank, spec.get("generators", []), gap))
         problems.extend(_verify_witnesses(rank, generators, witnesses))
     if "witness" in report:
         problems.extend(_verify_witnesses(rank, generators, [report["witness"]]))

@@ -42,7 +42,9 @@ class HorosphericalDatum:
 
     ``generators`` live in rank ``torus_rank + dominant_rank``; the last
     ``dominant_rank`` coordinates must be nonnegative.  Generators are
-    deduplicated and stored sorted.
+    deduplicated and stored sorted.  The cone data (``cone``,
+    ``weight_lattice``, ``faces``, ``dual_rays``) is computed once per
+    datum, on first use.
     """
 
     torus_rank: int
@@ -84,6 +86,14 @@ class HorosphericalDatum:
     def weight_lattice(self) -> LatticeSubgroup:
         return group_generated(self.generators)
 
+    @cached_property
+    def faces(self) -> tuple[FaceDescriptor, ...]:
+        return tuple(face_lattice(self.cone))
+
+    @cached_property
+    def dual_rays(self) -> tuple[Vec, ...]:
+        return dual_cone(self.cone).rays
+
 
 # ---------------------------------------------------------------------------
 # semigroup membership
@@ -98,13 +108,13 @@ class _MembershipSolver:
     terminates.
     """
 
-    def __init__(self, gens: Sequence[Vec], cone: Optional[RationalCone] = None):
+    def __init__(self, gens: Sequence[Vec]):
         if not gens:
             raise ValueError("at least one generator is required")
         self.rank = len(gens[0])
         self.gens = [as_vector(g, self.rank) for g in gens]
         self.nonzero = sorted({g for g in self.gens if not is_zero_vec(g)})
-        self.cone = cone if cone is not None else RationalCone(self.gens, self.rank)
+        self.cone = RationalCone(self.gens, self.rank)
         if not is_pointed(self.cone):
             raise NonPointedError(
                 "semigroup membership: bounded search needs a pointed cone"
@@ -168,16 +178,18 @@ def is_saturated(datum: HorosphericalDatum) -> SaturationCheck:
     """Check that the semigroup equals (its group) ∩ (its cone).
 
     The Hilbert basis of the intersection monoid generates it, so saturation
-    holds exactly when every basis element already lies in the semigroup; the
-    first missing element (in lexicographic order) is reported as the gap.
-    Raises NonPointedError when the cone contains a line; test units first.
+    holds exactly when every basis element already lies in the semigroup.
+    A basis element lies in the semigroup exactly when it is a generator:
+    the generators lie in the intersection monoid, where a basis element is
+    irreducible, so it is no sum of two or more nonzero generators.  The
+    first basis element (in lexicographic order) that is not a generator is
+    reported as the gap.  Raises NonPointedError when the cone contains a
+    line; test units first.
     """
+    generators = set(datum.generators)
     basis = hilbert_basis(datum.cone, datum.weight_lattice)
-    solver = _MembershipSolver(list(datum.generators), datum.cone)
-    for h in basis:
-        if not solver.member(h):
-            return SaturationCheck(False, h)
-    return SaturationCheck(True, None)
+    gap = next((h for h in basis if h not in generators), None)
+    return SaturationCheck(gap is None, gap)
 
 
 def saturate(datum: HorosphericalDatum) -> HorosphericalDatum:
@@ -221,10 +233,9 @@ class OrbitFace:
 
 
 def orbit_faces(datum: HorosphericalDatum) -> list[OrbitFace]:
-    cone = datum.cone
-    normals = cone.facet_normals
+    normals = datum.cone.facet_normals
     out = []
-    for face in face_lattice(cone):
+    for face in datum.faces:
         zero = [normals[i] for i in face.zero_normals]
         off = tuple(
             i
@@ -260,12 +271,10 @@ def grading_for_face(datum: HorosphericalDatum, face: FaceDescriptor) -> Grading
     cone = datum.cone
     if not is_pointed(cone):
         raise NonPointedError("grading witnesses require a pointed cone")
-    if face not in face_lattice(cone):
+    if face not in datum.faces:
         raise ValueError("the given face does not belong to the cone's face lattice")
     span = [cone.rays[j] for j in face.span_rays]
-    selected = [
-        u for u in dual_cone(cone).rays if all(dot(u, r) == 0 for r in span)
-    ]
+    selected = [u for u in datum.dual_rays if all(dot(u, r) == 0 for r in span)]
     total = (0,) * datum.ambient_rank
     for u in selected:
         total = vadd(total, u)
@@ -313,9 +322,7 @@ def flexibility_verdict(datum: HorosphericalDatum) -> FlexibilityVerdict:
     check = is_saturated(datum)
     if not check.saturated:
         return FlexibilityVerdict(FlexStatus.NOT_COVERED_NOT_NORMAL, (), check.gap)
-    witnesses = tuple(
-        grading_for_face(datum, face) for face in face_lattice(datum.cone)
-    )
+    witnesses = tuple(grading_for_face(datum, face) for face in datum.faces)
     return FlexibilityVerdict(FlexStatus.CERTIFIED_FLEXIBLE, witnesses, None)
 
 

@@ -287,6 +287,24 @@ def test_verify_rejects_gap_on_certified():
         verify_check_report(bad)
 
 
+@pytest.mark.parametrize(
+    "generators, gap, reason",
+    [
+        ([[2], [3]], [5], "lies in the semigroup"),
+        ([[4], [6]], [3], "outside the group"),
+        ([[2], [3]], [-1], "outside the cone"),
+    ],
+)
+def test_verify_rejects_fake_saturation_gap(generators, gap, reason):
+    report = build_check_report(DatumSpec(1, 0, tuple(map(tuple, generators))))
+    assert report["verdict"]["status"] == "NotCovered_NotNormal"
+    verify_check_report(report)
+    bad = copy.deepcopy(report)
+    bad["verdict"]["saturation_gap"] = gap
+    with pytest.raises(CorruptReportError, match=reason):
+        verify_check_report(bad)
+
+
 def test_corrupted_report_aborts_cli(veronese_file, capsys, monkeypatch):
     import horoflex.cli as cli_module
 
@@ -297,3 +315,17 @@ def test_corrupted_report_aborts_cli(veronese_file, capsys, monkeypatch):
     code = main(["check", veronese_file])
     assert code == 1
     assert capsys.readouterr().out == ""
+
+
+def test_rank_five_cube_check_and_saturate(tmp_path, capsys):
+    # the cone over the 4-cube: 16 generators, 82 faces, under the default rank cap
+    gens = [[a, b, c, d, 1] for a in (0, 1) for b in (0, 1) for c in (0, 1) for d in (0, 1)]
+    path = tmp_path / "cube5.json"
+    path.write_text(json.dumps({"torus_rank": 4, "dominant_rank": 1, "generators": gens}))
+    code, report = run_json(capsys, ["check", str(path)])
+    assert code == 0
+    assert report["verdict"]["status"] == "CertifiedFlexible"
+    assert len(report["witnesses"]) == 82
+    code, report = run_json(capsys, ["saturate", str(path)])
+    assert code == 0
+    assert report["already_saturated"] is True

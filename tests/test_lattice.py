@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from horoflex.lattice import (
 )
 
 from oracles import (
+    LatticeOracle,
     SaturationOracle,
     SemigroupOracle,
     cone_inequalities,
@@ -317,6 +319,88 @@ def test_hilbert_basis_complete_and_minimal(gens):
                 assert not SemigroupOracle(rest, 2, normals).member(h)
     else:
         assert c.rays == ()
+
+
+@st.composite
+def hilbert_cases(draw):
+    """Pointed cone generators in Z^n (n = 2..4), a subgroup and an embedding.
+
+    Generators are ``u + A u`` for points u of Z^d with last coordinate (the
+    height, so the cone is pointed) in 1..2 and an integer matrix A with
+    ``n - d`` rows.  ``kind`` picks the case: ``simplicial`` (d = n and n
+    independent generators), ``general`` (more generators than the rank),
+    ``flat`` (d < n, so the cone spans a proper subspace of Z^n; the default
+    subgroup) and ``sublattice`` (the subgroup the generators generate,
+    often of index > 1).  Returns (generators, subgroup or None, d, A).
+    """
+    n = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["simplicial", "general", "flat", "sublattice"]))
+    d = draw(st.integers(1, n - 1)) if kind == "flat" else n
+    count = d if kind == "simplicial" else draw(st.integers(d, d + 1))
+    top = 1 if d == 4 else 2
+    points = [
+        tuple(draw(st.integers(-1, 1)) for _ in range(d - 1)) + (draw(st.integers(1, top)),)
+        for _ in range(count)
+    ]
+    if kind == "simplicial" and rational_rank(points) < d:
+        points = [tuple(int(i == j) for j in range(d - 1)) + (1,) for i in range(d)]
+    extra = [[draw(st.integers(-3, 3)) for _ in range(d)] for _ in range(n - d)]
+    gens = [u + tuple(dot(a, u) for a in extra) for u in points]
+    subgroup = group_generated(gens) if kind == "sublattice" else None
+    return gens, subgroup, d, extra
+
+
+def irreducible_points(gens, subgroup_gens, d, extra):
+    """Irreducible points of ``cone(gens) ∩ group(subgroup_gens)`` by brute force.
+
+    Built from the oracles only: the Fourier-Motzkin inequalities of the
+    cone and the Smith-form lattice test.  The height (coordinate d - 1) is
+    the degree; every Hilbert-basis element has height at most the sum B of
+    the generators' heights.  Because ``A`` is integral, the integer points
+    of the generators' span are exactly ``u + A u`` for u in Z^d, so slices
+    of u at each height 1..B, each boxed by the generators' ratios, cover
+    every candidate.  A point is irreducible when no lower-degree
+    irreducible point leaves a remainder among the candidates.
+    """
+    n = len(gens[0])
+    normals = cone_inequalities(gens, n)
+    lattice = LatticeOracle(subgroup_gens, n) if subgroup_gens else None
+    heights = [g[d - 1] for g in gens]
+    points = set()
+    for t in range(1, sum(heights) + 1):
+        box = []
+        for j in range(d - 1):
+            ratios = [Fraction(t * g[j], h) for g, h in zip(gens, heights)]
+            box.append(range(min(ratios).__floor__(), max(ratios).__ceil__() + 1))
+        for head in product(*box):
+            u = head + (t,)
+            v = u + tuple(dot(a, u) for a in extra)
+            if in_cone(normals, v) and (lattice is None or lattice.contains(v)):
+                points.add(v)
+    irreducible = []
+    for v in sorted(points, key=lambda v: (v[d - 1], v)):
+        if not any(tuple(a - b for a, b in zip(v, u)) in points for u in irreducible):
+            irreducible.append(v)
+    return sorted(irreducible)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hilbert_cases())
+def test_hilbert_basis_matches_brute_force(case):
+    gens, subgroup, d, extra = case
+    basis = hilbert_basis(RationalCone(gens, len(gens[0])), subgroup)
+    assert basis == irreducible_points(gens, gens if subgroup else None, d, extra)
+
+
+def test_hilbert_basis_of_planes_in_z3():
+    # the integer points of the plane 2x + y + z = 0 are not generated by
+    # the primitive kernel vectors (1, 0, -2), (0, 2, -2) of (2, 1, 1)
+    c = RationalCone([(1, -2, 0), (1, 0, -2)], 3)
+    assert hilbert_basis(c) == [(1, -2, 0), (1, -1, -1), (1, 0, -2)]
+    # no two coordinates of the plane 6x = 3y + 2z parametrize its integer
+    # points; (1, 0, 3) is the midpoint of the rays but not in their group
+    c = RationalCone([(1, 2, 0), (1, -2, 6)], 3)
+    assert hilbert_basis(c) == [(1, -2, 6), (1, 0, 3), (1, 2, 0)]
 
 
 @settings(max_examples=40, deadline=None)

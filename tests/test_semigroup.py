@@ -3,9 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from horoflex.lattice import NonPointedError, dot
+import horoflex.semigroup as semigroup_module
+from horoflex.lattice import NonPointedError, dot, hilbert_basis
 from horoflex.semigroup import (
     FlexStatus,
+    _MembershipSolver,
     HorosphericalDatum,
     flexibility_verdict,
     grading_for_face,
@@ -266,3 +268,35 @@ def test_members_stay_in_cone_and_group(seed):
     assert semigroup_member(gens, combo)
     assert in_cone(normals, tuple(combo))
     assert datum.weight_lattice.contains(tuple(combo))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_saturation_gap_is_first_basis_element_outside_the_semigroup(seed):
+    datum = random_datum(random.Random(seed))
+    solver = _MembershipSolver(list(datum.generators))
+    basis = hilbert_basis(datum.cone, datum.weight_lattice)
+    expected = next((h for h in basis if not solver.member(h)), None)
+    assert is_saturated(datum).gap == expected
+
+
+def test_verdict_computes_cone_data_once(monkeypatch):
+    calls = {"face_lattice": 0, "dual_cone": 0}
+
+    def counted(name):
+        original = getattr(semigroup_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(semigroup_module, name, counted(name))
+    vertices = [[x, y, z, 1] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    cube = HorosphericalDatum(3, 1, vertices)
+    verdict = flexibility_verdict(cube)
+    assert verdict.status is FlexStatus.CERTIFIED_FLEXIBLE
+    assert len(verdict.witnesses) == 28
+    assert calls == {"face_lattice": 1, "dual_cone": 1}
