@@ -177,25 +177,22 @@ def solve_left(
 
 
 def integer_kernel_basis(rows: Sequence[Vec], ambient_rank: int) -> list[Vec]:
-    """Primitive integer vectors spanning ``{x : rows @ x = 0}`` over Q (HNF rows).
+    """Hermite basis of the integer points of ``{x : rows @ x = 0}``.
 
-    They need not generate every integer point of the kernel: ``(2, 1, 1)``
-    gives ``(1, 0, -2), (0, 2, -2)``, which miss ``(0, 1, -1)``.
+    The rows of the Hermite form of ``[rows^T | I]`` that vanish on the
+    ``rows^T`` columns are a basis over the integers; a first elimination
+    settles the common case of a zero kernel without it.
     """
     if not rows:
         return [hermite_row(i, ambient_rank) for i in range(ambient_rank)]
     work = list(rows)
     _check_width(work, ambient_rank)
-    pivots, d = _eliminate(work, ambient_rank, len(work), reduce=True)
-    basis = []
-    for c in range(ambient_rank):
-        if c not in pivots:
-            vec = [0] * ambient_rank
-            vec[c] = d
-            for r, pc in enumerate(pivots):
-                vec[pc] = -work[r][c]
-            basis.append(primitive(vec))
-    return [tuple(r) for r in hermite_normal_form(basis)]
+    pivots, _ = _eliminate(work, ambient_rank, len(work), reduce=False)
+    if len(pivots) == ambient_rank:
+        return []
+    m = len(rows)
+    aug = [tuple(r[j] for r in rows) + hermite_row(j, ambient_rank) for j in range(ambient_rank)]
+    return [row[m:] for row in hermite_normal_form(aug) if is_zero_vec(row[:m])]
 
 
 def hermite_row(i: int, n: int) -> Vec:
@@ -591,19 +588,8 @@ def hilbert_basis(c: RationalCone, subgroup: Optional[LatticeSubgroup] = None) -
 
 
 def _saturated_span(vecs: Sequence[Vec], n: int) -> LatticeSubgroup:
-    """``span_Q(vecs) ∩ Z^n``, the kernel of the kernel of vecs.
-
-    The first kernel only needs to span the rational normals of vecs.  The
-    second must be a basis over the integers: the rows of the Hermite form
-    of ``[normals^T | I]`` that vanish on the normal columns are one.
-    """
-    normals = integer_kernel_basis(vecs, n)
-    if not normals:
-        return LatticeSubgroup(n, tuple(hermite_row(i, n) for i in range(n)))
-    p = len(normals)
-    aug = [tuple(f[j] for f in normals) + hermite_row(j, n) for j in range(n)]
-    kernel = [row[p:] for row in hermite_normal_form(aug) if is_zero_vec(row[:p])]
-    return LatticeSubgroup(n, tuple(hermite_normal_form(kernel)))
+    """``span_Q(vecs) ∩ Z^n``, the kernel of the kernel of vecs."""
+    return LatticeSubgroup(n, tuple(integer_kernel_basis(integer_kernel_basis(vecs, n), n)))
 
 
 def _parallelepiped_points(gens: Sequence[Vec]) -> list[Vec]:

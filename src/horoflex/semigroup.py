@@ -91,6 +91,10 @@ class HorosphericalDatum:
         return tuple(face_lattice(self.cone))
 
     @cached_property
+    def _face_set(self) -> frozenset[FaceDescriptor]:
+        return frozenset(self.faces)
+
+    @cached_property
     def dual_rays(self) -> tuple[Vec, ...]:
         return dual_cone(self.cone).rays
 
@@ -271,7 +275,7 @@ def grading_for_face(datum: HorosphericalDatum, face: FaceDescriptor) -> Grading
     cone = datum.cone
     if not is_pointed(cone):
         raise NonPointedError("grading witnesses require a pointed cone")
-    if face not in datum.faces:
+    if face not in datum._face_set:
         raise ValueError("the given face does not belong to the cone's face lattice")
     span = [cone.rays[j] for j in face.span_rays]
     selected = [u for u in datum.dual_rays if all(dot(u, r) == 0 for r in span)]

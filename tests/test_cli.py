@@ -290,7 +290,6 @@ def test_verify_rejects_gap_on_certified():
 @pytest.mark.parametrize(
     "generators, gap, reason",
     [
-        ([[2], [3]], [5], "lies in the semigroup"),
         ([[4], [6]], [3], "outside the group"),
         ([[2], [3]], [-1], "outside the cone"),
     ],

@@ -1,5 +1,6 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,6 +110,8 @@ def test_integer_kernel_basis():
     for v in ker:
         assert sum(v) == 0
     assert integer_kernel_basis([(1, 0), (0, 1)], 2) == []
+    # a basis over Z: (0, 1, -1) is no combination of (1, 0, -2), (0, 2, -2)
+    assert integer_kernel_basis([(2, 1, 1)], 3) == [(1, 0, -2), (0, 1, -1)]
 
 
 def test_lattice_subgroup_membership():
@@ -184,6 +187,10 @@ def test_integer_kernel_basis_matches_sympy_nullspace(rows):
     assert len(ker) == len(null) == rational_rank(ker)
     if ker:
         assert Matrix(ker + null).rank() == len(ker)
+        # a basis of the integer points: its maximal minors are coprime
+        minors = [Matrix([[v[j] for j in cols] for v in ker]).det()
+                  for cols in combinations(range(n), len(ker))]
+        assert gcd(*minors) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +401,7 @@ def test_hilbert_basis_matches_brute_force(case):
 
 def test_hilbert_basis_of_planes_in_z3():
     # the integer points of the plane 2x + y + z = 0 are not generated by
-    # the primitive kernel vectors (1, 0, -2), (0, 2, -2) of (2, 1, 1)
+    # the primitive vectors (1, 0, -2), (0, 2, -2) that span it over Q
     c = RationalCone([(1, -2, 0), (1, 0, -2)], 3)
     assert hilbert_basis(c) == [(1, -2, 0), (1, -1, -1), (1, 0, -2)]
     # no two coordinates of the plane 6x = 3y + 2z parametrize its integer
