@@ -60,51 +60,15 @@ def _verdict_code(report: dict[str, Any]) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _run(args: argparse.Namespace) -> int:
+    """Build the subcommand's report, audit it if the subcommand asks, print it.
+
+    ``timing_ms`` covers loading the input, building and auditing.
+    """
     start = time.perf_counter()
-    report = build_check_report(_load_spec(args.file))
-    verify_check_report(report)
-    _emit(report, args.format, (time.perf_counter() - start) * 1000)
-    return _verdict_code(report)
-
-
-def _cmd_saturate(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    report = build_saturate_report(_load_spec(args.file))
-    _emit(report, args.format, (time.perf_counter() - start) * 1000)
-    return 0
-
-
-def _cmd_orbits(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    report = build_orbits_report(_load_spec(args.file))
-    _emit(report, args.format, (time.perf_counter() - start) * 1000)
-    return 0
-
-
-def _cmd_grading(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    report = build_grading_report(_load_spec(args.file), args.face)
-    verify_check_report(report)
-    _emit(report, args.format, (time.perf_counter() - start) * 1000)
-    return 0
-
-
-def _cmd_ehm(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    report = build_ehm_report(args.p, args.q, args.m, args.bound)
-    _emit(report, args.format, (time.perf_counter() - start) * 1000)
-    return _verdict_code(report)
-
-
-def _cmd_examples(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    if args.examples_command == "list":
-        report = _envelope("examples list", {"examples": list_examples()})
-        _emit(report, args.format, (time.perf_counter() - start) * 1000)
-        return 0
-    report = run_example(args.name)
-    verify_check_report(report)
+    report = args.build(args)
+    if args.audit:
+        verify_check_report(report)
     _emit(report, args.format, (time.perf_counter() - start) * 1000)
     return _verdict_code(report)
 
@@ -129,23 +93,25 @@ def build_parser() -> _Parser:
     p = sub.add_parser("check", help="full verdict with per-orbit grading witnesses")
     p.add_argument("file", help="JSON datum file")
     _add_format(p)
-    p.set_defaults(func=_cmd_check)
+    p.set_defaults(build=lambda a: build_check_report(_load_spec(a.file)), audit=True)
 
     p = sub.add_parser("saturate", help="close the semigroup inside its cone")
     p.add_argument("file", help="JSON datum file")
     _add_format(p)
-    p.set_defaults(func=_cmd_saturate)
+    p.set_defaults(build=lambda a: build_saturate_report(_load_spec(a.file)), audit=False)
 
     p = sub.add_parser("orbits", help="face lattice with off-face generators")
     p.add_argument("file", help="JSON datum file")
     _add_format(p)
-    p.set_defaults(func=_cmd_orbits)
+    p.set_defaults(build=lambda a: build_orbits_report(_load_spec(a.file)), audit=False)
 
     p = sub.add_parser("grading", help="grading witness for one face")
     p.add_argument("file", help="JSON datum file")
     p.add_argument("--face", type=int, required=True, help="face index")
     _add_format(p)
-    p.set_defaults(func=_cmd_grading)
+    p.set_defaults(
+        build=lambda a: build_grading_report(_load_spec(a.file), a.face), audit=True
+    )
 
     p = sub.add_parser("ehm", help="hypersurface family identity checks")
     p.add_argument("--p", type=int, required=True)
@@ -153,17 +119,20 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--bound", type=int, default=8, help="monomial degree bound")
     _add_format(p)
-    p.set_defaults(func=_cmd_ehm)
+    p.set_defaults(build=lambda a: build_ehm_report(a.p, a.q, a.m, a.bound), audit=False)
 
     p = sub.add_parser("examples", help="bundled example suite")
     esub = p.add_subparsers(dest="examples_command", required=True)
     e = esub.add_parser("list", help="list example names")
     _add_format(e)
-    e.set_defaults(func=_cmd_examples, examples_command="list")
+    e.set_defaults(
+        build=lambda a: _envelope("examples list", {"examples": list_examples()}),
+        audit=False,
+    )
     e = esub.add_parser("run", help="run one example")
     e.add_argument("name")
     _add_format(e)
-    e.set_defaults(func=_cmd_examples, examples_command="run")
+    e.set_defaults(build=lambda a: run_example(a.name), audit=True)
 
     return parser
 
@@ -175,7 +144,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return _run(args)
     except BrokenPipeError:
         return 1
     except Exception as exc:

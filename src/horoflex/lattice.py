@@ -606,6 +606,8 @@ def _parallelepiped_points(gens: Sequence[Vec]) -> list[Vec]:
     pivots, det = _eliminate(work, d, d, reduce=True)
     if len(pivots) < d:
         return []
+    if abs(det) == 1:
+        return [(0,) * d]  # unimodular: a single coset
     inverse = [row[d:] for row in work]
     diagonal = [row[i] for i, row in enumerate(hermite_normal_form(gens))]
     points = []

@@ -2,8 +2,8 @@
 
 The JSON surface lives here: parsing of datum files (strict, unknown fields
 rejected), builders for every report the command line emits, and the
-re-verification pass that re-derives witness invariants from the raw report
-data before anything is printed.
+re-verification pass that checks a report against its own input before
+anything is printed.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from .danielewski import (
     MAKAR_LIMANOV_NOTE,
@@ -28,7 +28,7 @@ from .ehm import (
     verify_special_point,
     verify_weight_identity,
 )
-from .lattice import RationalCone, dot, group_generated
+from .lattice import RationalCone, as_vector, dot
 from .semigroup import (
     FlexStatus,
     GradingWitness,
@@ -111,6 +111,11 @@ def parse_spec(text: str) -> DatumSpec:
         raise SpecError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    return _spec_from_payload(data)
+
+
+def _spec_from_payload(data: Any) -> DatumSpec:
+    """Validate a decoded datum object: a datum file or a report's ``input``."""
     if not isinstance(data, dict):
         raise SpecError("datum file must contain a JSON object")
     unknown = sorted(set(data) - set(_SPEC_FIELDS))
@@ -368,85 +373,94 @@ def build_danielewski_report(command: str = "examples run danielewski") -> dict[
 # re-verification
 
 
-def _verify_witnesses(
-    rank: int,
-    generators: Sequence[Sequence[int]],
-    witnesses: Sequence[dict[str, Any]],
-) -> list[str]:
+def _verify_witnesses(datum: HorosphericalDatum, witnesses: Any) -> list[str]:
+    """Problems with grading witnesses, checked against the cone of the input.
+
+    Each witness must list rays R of the cone as ``face_rays``, carry a
+    functional that is 0 on R and > 0 on every other ray of the cone, and
+    store as degrees the functional's values on the generators, all >= 0.
+    The functional is then >= 0 on the cone and R is the ray set of the face
+    it cuts out.  This implies that the degree is 0 on the generators in
+    cone(R) and >= 1 on the others: a generator g lies in the cone, so
+    g = sum c_r r over its rays with every c_r >= 0, and its degree is the
+    sum of c_r times the functional over the rays r outside R.  If g is off
+    cone(R), some ray outside R has c_r > 0, so that integer degree is
+    positive.
+    """
+    if not isinstance(witnesses, list):
+        return ["witnesses must be a list"]
+    rank = datum.ambient_rank
+    gens = datum.generators
     problems = []
     for entry in witnesses:
-        idx = entry.get("face_index")
-        functional = entry.get("functional")
-        rays = entry.get("face_rays")
-        degrees = entry.get("generator_degrees")
-        if not isinstance(functional, list) or len(functional) != rank:
-            problems.append(f"witness {idx}: functional has wrong rank")
+        idx = entry.get("face_index") if isinstance(entry, dict) else None
+        try:
+            functional = as_vector(entry["functional"], rank)
+            face = {as_vector(r, rank) for r in entry["face_rays"]}
+            degrees = as_vector(entry["generator_degrees"])
+        except (KeyError, TypeError, ValueError) as exc:
+            problems.append(f"witness {idx}: malformed entry: {exc}")
             continue
-        if not isinstance(rays, list) or not isinstance(degrees, list):
-            problems.append(f"witness {idx}: malformed table")
-            continue
-        if len(degrees) != len(generators):
+        rays = datum.cone.rays
+        for r in sorted(face.difference(rays)):
+            problems.append(f"witness {idx}: face ray {list(r)} is not a ray of the cone")
+        for r in rays:
+            value = dot(functional, r)
+            if r in face and value != 0:
+                problems.append(f"witness {idx}: functional does not vanish on {list(r)}")
+            if r not in face and value <= 0:
+                problems.append(
+                    f"witness {idx}: functional is not positive on the ray {list(r)} off the face"
+                )
+        if len(degrees) != len(gens):
             problems.append(f"witness {idx}: degree table length mismatch")
             continue
-        for r in rays:
-            if len(r) != rank:
-                problems.append(f"witness {idx}: face ray of wrong rank")
-            elif dot(functional, r) != 0:
-                problems.append(f"witness {idx}: functional does not vanish on {r}")
-        face_cone = RationalCone([tuple(r) for r in rays], rank) if rays else None
-        for g, d in zip(generators, degrees):
+        for g, d in zip(gens, degrees):
             actual = dot(functional, g)
             if actual != d:
                 problems.append(
                     f"witness {idx}: stored degree {d} on {list(g)}, recomputed {actual}"
                 )
-            if d < 0:
+            elif d < 0:
                 problems.append(f"witness {idx}: negative degree on {list(g)}")
-            on_face = face_cone.contains(tuple(g)) if face_cone else all(x == 0 for x in g)
-            if on_face and d != 0:
-                problems.append(f"witness {idx}: nonzero degree on face generator {list(g)}")
-            if not on_face and d < 1:
-                problems.append(f"witness {idx}: degree < 1 off the face at {list(g)}")
     return problems
 
 
-def _verify_gap(rank: int, generators: Any, gap: Any) -> list[str]:
+def _verify_gap(datum: HorosphericalDatum, gap: Any) -> list[str]:
     """Problems with a reported saturation gap, checked against the input.
 
     A gap must lie in the cone and in the group of the input generators.
     Whether it also lies outside their semigroup is not checked here.
     """
-    if not isinstance(gap, list) or len(gap) != rank:
-        return ["non-normal verdict without a saturation gap of the input rank"]
     try:
-        gens = [tuple(g) for g in generators]
-        vec = tuple(gap)
-        problems = []
-        if not RationalCone(gens, rank).contains(vec):
-            problems.append(f"saturation gap {gap} lies outside the cone")
-        if not group_generated(gens).contains(vec):
-            problems.append(f"saturation gap {gap} lies outside the group")
-    except (TypeError, ValueError) as exc:
-        return [f"saturation gap cannot be checked against the input: {exc}"]
+        vec = as_vector(gap, datum.ambient_rank)
+    except (TypeError, ValueError):
+        return ["non-normal verdict without a saturation gap of the input rank"]
+    problems = []
+    if not datum.cone.contains(vec):
+        problems.append(f"saturation gap {gap} lies outside the cone")
+    if not datum.weight_lattice.contains(vec):
+        problems.append(f"saturation gap {gap} lies outside the group")
     return problems
 
 
 def verify_check_report(report: dict[str, Any]) -> None:
-    """Re-derive every witness invariant from the raw report data.
+    """Re-derive every witness invariant from the report's own input.
 
-    Raises CorruptReportError on the first inconsistency; called on every
+    The input is parsed again and its cone built once; the canonical
+    generators must be the sorted, deduplicated input generators, and the
+    gap and every witness are checked against that cone.  Raises
+    CorruptReportError listing every inconsistency; called on every
     certificate-bearing report before emission.
     """
     problems = []
     if report.get("schema") != SCHEMA_VERSION:
         problems.append("unknown schema version")
-    spec = report.get("input", {})
-    rank = spec.get("torus_rank", 0) + spec.get("dominant_rank", 0)
-    generators = [tuple(g) for g in report.get("canonical_generators", [])]
-    statuses = {s.value for s in FlexStatus}
+    status = gap = None
+    witnesses = []
     if "verdict" in report:
         status = report["verdict"].get("status")
-        if status not in statuses:
+        if status not in {s.value for s in FlexStatus}:
             problems.append(f"unknown verdict status {status!r}")
         witnesses = report.get("witnesses", [])
         gap = report["verdict"].get("saturation_gap")
@@ -457,11 +471,19 @@ def verify_check_report(report: dict[str, Any]) -> None:
                 problems.append("certified verdict without witnesses")
         elif witnesses:
             problems.append("witnesses present on a non-certified verdict")
-        if status == FlexStatus.NOT_COVERED_NOT_NORMAL.value:
-            problems.extend(_verify_gap(rank, spec.get("generators", []), gap))
-        problems.extend(_verify_witnesses(rank, generators, witnesses))
     if "witness" in report:
-        problems.extend(_verify_witnesses(rank, generators, [report["witness"]]))
+        witnesses = [*witnesses, report["witness"]]
+    if "verdict" in report or "witness" in report:
+        try:
+            datum = _spec_from_payload(report.get("input")).to_datum()
+        except SpecError as exc:
+            problems.append(f"report input is malformed: {exc}")
+        else:
+            if report.get("canonical_generators") != [list(g) for g in datum.generators]:
+                problems.append("canonical generators are not the sorted input generators")
+            if status == FlexStatus.NOT_COVERED_NOT_NORMAL.value:
+                problems.extend(_verify_gap(datum, gap))
+            problems.extend(_verify_witnesses(datum, witnesses))
     if problems:
         raise CorruptReportError("; ".join(problems))
 

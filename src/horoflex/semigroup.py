@@ -23,7 +23,6 @@ from .lattice import (
     Vec,
     as_vector,
     dot,
-    dual_cone,
     face_lattice,
     group_generated,
     hilbert_basis,
@@ -43,8 +42,9 @@ class HorosphericalDatum:
     ``generators`` live in rank ``torus_rank + dominant_rank``; the last
     ``dominant_rank`` coordinates must be nonnegative.  Generators are
     deduplicated and stored sorted.  The cone data (``cone``,
-    ``weight_lattice``, ``faces``, ``dual_rays``) is computed once per
-    datum, on first use.
+    ``weight_lattice``, ``faces``) is computed once per datum, on first
+    use; grading witnesses are read off ``cone.facet_normals`` and each
+    face's ``zero_normals``, so no dual cone is built.
     """
 
     torus_rank: int
@@ -94,10 +94,6 @@ class HorosphericalDatum:
     def _face_set(self) -> frozenset[FaceDescriptor]:
         return frozenset(self.faces)
 
-    @cached_property
-    def dual_rays(self) -> tuple[Vec, ...]:
-        return dual_cone(self.cone).rays
-
 
 # ---------------------------------------------------------------------------
 # semigroup membership
@@ -106,10 +102,11 @@ class HorosphericalDatum:
 class _MembershipSolver:
     """Bounded-descent membership in the semigroup generated by ``gens``.
 
-    A functional strictly positive on the cone minus the origin (the sum of
-    the dual cone's rays; it exists exactly when the cone is pointed) drops by
-    at least one on every generator subtraction, so the memoized descent
-    terminates.
+    A functional strictly positive on the cone minus the origin drops by at
+    least one on every generator subtraction, so the memoized descent
+    terminates.  The sum of the facet normals is one exactly when the cone
+    is pointed: a point of the cone on which every normal vanishes spans a
+    line in it.
     """
 
     def __init__(self, gens: Sequence[Vec]):
@@ -124,8 +121,8 @@ class _MembershipSolver:
                 "semigroup membership: bounded search needs a pointed cone"
             )
         level = (0,) * self.rank
-        for r in dual_cone(self.cone).rays:
-            level = vadd(level, r)
+        for f in self.cone.facet_normals:
+            level = vadd(level, f)
         self.level = level
         for g in self.nonzero:
             if dot(self.level, g) < 1:
@@ -268,23 +265,23 @@ class GradingWitness:
 def grading_for_face(datum: HorosphericalDatum, face: FaceDescriptor) -> GradingWitness:
     """Witness functional for one face: a relative-interior point of the dual face.
 
-    Built as the sum of the dual cone's rays vanishing on the face, cleared to
-    a primitive integer vector.  For the full cone this sum is empty and the
-    zero functional is returned (the trivial witness).
+    Built as the sum of the facet normals vanishing on the face, cleared to
+    a primitive integer vector.  Those normals and the +/- pairs of
+    equality normals generate the dual face, so their sum lies in its
+    relative interior; the pairs cancel.  For the full cone only the pairs
+    vanish and the zero functional is returned (the trivial witness).
     """
     cone = datum.cone
     if not is_pointed(cone):
         raise NonPointedError("grading witnesses require a pointed cone")
     if face not in datum._face_set:
         raise ValueError("the given face does not belong to the cone's face lattice")
-    span = [cone.rays[j] for j in face.span_rays]
-    selected = [u for u in datum.dual_rays if all(dot(u, r) == 0 for r in span)]
-    total = (0,) * datum.ambient_rank
-    for u in selected:
-        total = vadd(total, u)
-    functional = primitive(total)
     normals = cone.facet_normals
     zero = [normals[i] for i in face.zero_normals]
+    total = (0,) * datum.ambient_rank
+    for f in zero:
+        total = vadd(total, f)
+    functional = primitive(total)
     weights = []
     for g in datum.generators:
         w = dot(functional, g)
@@ -328,28 +325,3 @@ def flexibility_verdict(datum: HorosphericalDatum) -> FlexibilityVerdict:
         return FlexibilityVerdict(FlexStatus.NOT_COVERED_NOT_NORMAL, (), check.gap)
     witnesses = tuple(grading_for_face(datum, face) for face in datum.faces)
     return FlexibilityVerdict(FlexStatus.CERTIFIED_FLEXIBLE, witnesses, None)
-
-
-def witness_violations(datum: HorosphericalDatum, witness: GradingWitness) -> list[str]:
-    """Re-derive every invariant of a witness; used before reports are emitted."""
-    problems = []
-    cone = datum.cone
-    normals = cone.facet_normals
-    try:
-        zero = [normals[i] for i in witness.face.zero_normals]
-    except IndexError:
-        return ["face refers to normals outside the cone's facet list"]
-    if len(witness.generator_weights) != len(datum.generators):
-        problems.append("weight table length does not match the generator count")
-        return problems
-    for g, w in zip(datum.generators, witness.generator_weights):
-        if dot(witness.functional, g) != w:
-            problems.append(f"stored weight {w} does not match the functional on {g}")
-        if w < 0:
-            problems.append(f"negative weight {w} on generator {g}")
-        on_face = all(dot(f, g) == 0 for f in zero)
-        if on_face and w != 0:
-            problems.append(f"nonzero weight {w} on face generator {g}")
-        if not on_face and w < 1:
-            problems.append(f"weight {w} < 1 on off-face generator {g}")
-    return problems

@@ -304,6 +304,54 @@ def test_verify_rejects_fake_saturation_gap(generators, gap, reason):
         verify_check_report(bad)
 
 
+def test_verify_rejects_swapped_canonical_generators():
+    # a consistent swap to the non-normal <2,3>: every degree is recomputed
+    report = build_check_report(DatumSpec(1, 0, ((1,),)))
+    verify_check_report(report)
+    bad = copy.deepcopy(report)
+    bad["canonical_generators"] = [[2], [3]]
+    for w in bad["witnesses"]:
+        w["generator_degrees"] = [w["functional"][0] * g for g in (2, 3)]
+    with pytest.raises(CorruptReportError, match="canonical generators"):
+        verify_check_report(bad)
+
+
+@pytest.mark.parametrize(
+    "face_rays, reason",
+    [
+        ([[2, 0]], r"face ray \[2, 0\] is not a ray of the cone"),
+        ([], r"not positive on the ray \[1, 0\] off the face"),
+    ],
+)
+def test_verify_rejects_wrong_face_rays(face_rays, reason):
+    report = build_check_report(parse_spec(VERONESE_TEXT))
+    assert report["witnesses"][1]["face_rays"] == [[1, 0]]
+    bad = copy.deepcopy(report)
+    bad["witnesses"][1]["face_rays"] = face_rays
+    with pytest.raises(CorruptReportError, match=reason):
+        verify_check_report(bad)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("witnesses", 1, "face_rays"), [1]),
+        (("witnesses", 1, "face_rays"), [[1, "0"]]),
+        (("input", "generators"), [[1, 0], [1, None], [1, 2]]),
+        (("input", "torus_rank"), "2"),
+        (("input",), None),
+    ],
+)
+def test_verify_rejects_malformed_entries(path, value):
+    bad = build_check_report(parse_spec(VERONESE_TEXT))
+    target = bad
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(CorruptReportError, match="malformed"):
+        verify_check_report(bad)
+
+
 def test_corrupted_report_aborts_cli(veronese_file, capsys, monkeypatch):
     import horoflex.cli as cli_module
 

@@ -1,10 +1,19 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-import horoflex.semigroup as semigroup_module
-from horoflex.lattice import NonPointedError, dot, hilbert_basis
+import horoflex.lattice as lattice_module
+from horoflex.lattice import (
+    NonPointedError,
+    dot,
+    dual_cone,
+    hilbert_basis,
+    is_pointed,
+    primitive,
+    vadd,
+)
+from horoflex.reporting import DatumSpec, build_check_report, verify_check_report
 from horoflex.semigroup import (
     FlexStatus,
     _MembershipSolver,
@@ -16,7 +25,6 @@ from horoflex.semigroup import (
     saturate,
     semigroup_member,
     units_exist,
-    witness_violations,
 )
 from horoflex.lattice import face_lattice
 
@@ -26,6 +34,10 @@ CUSP = HorosphericalDatum(1, 0, [[2], [3]])
 PLANE = HorosphericalDatum(2, 0, [[1, 0], [0, 1]])
 VERONESE = HorosphericalDatum(2, 0, [[1, 0], [1, 1], [1, 2]])
 MIXED = HorosphericalDatum(2, 0, [[1, 0], [1, 2], [2, 1]])
+
+
+def spec_of(datum):
+    return DatumSpec(datum.torus_rank, datum.dominant_rank, datum.generators)
 
 
 def random_datum(rng, saturated=False):
@@ -182,8 +194,7 @@ def test_grading_witnesses_veronese_frozen():
         (2, 1, 0),
         (0, 0, 0),
     ]
-    for w in witnesses:
-        assert witness_violations(VERONESE, w) == []
+    verify_check_report(build_check_report(spec_of(VERONESE)))
 
 
 def test_grading_rejects_foreign_face():
@@ -234,8 +245,7 @@ def test_verdict_consistency(seed):
     if verdict.status is FlexStatus.CERTIFIED_FLEXIBLE:
         assert saturated
         assert len(verdict.witnesses) == len(face_lattice(datum.cone))
-        for w in verdict.witnesses:
-            assert witness_violations(datum, w) == []
+        verify_check_report(build_check_report(spec_of(datum)))
     else:
         assert verdict.status is FlexStatus.NOT_COVERED_NOT_NORMAL
         assert not saturated
@@ -281,22 +291,47 @@ def test_saturation_gap_is_first_basis_element_outside_the_semigroup(seed):
 
 
 def test_verdict_computes_cone_data_once(monkeypatch):
-    calls = {"face_lattice": 0, "dual_cone": 0}
+    # one double description for the cone and one inside hilbert_basis;
+    # the report audit builds the input's cone once and no cone per witness
+    calls = []
+    original = lattice_module.generators_from_inequalities
 
-    def counted(name):
-        original = getattr(semigroup_module, name)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(semigroup_module, name, counted(name))
-    vertices = [[x, y, z, 1] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    monkeypatch.setattr(lattice_module, "generators_from_inequalities", counted)
+    vertices = [(x, y, z, 1) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
     cube = HorosphericalDatum(3, 1, vertices)
     verdict = flexibility_verdict(cube)
     assert verdict.status is FlexStatus.CERTIFIED_FLEXIBLE
     assert len(verdict.witnesses) == 28
-    assert calls == {"face_lattice": 1, "dual_cone": 1}
+    assert len(calls) == 2
+    report = build_check_report(spec_of(cube))
+    calls.clear()
+    verify_check_report(report)
+    assert len(calls) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_incidence_witness_matches_dual_cone(seed):
+    # pointed cones of rank 1-5 inside the span of 1..rank random vectors,
+    # so often not full-dimensional
+    rng = random.Random(seed)
+    rank = rng.randint(1, 5)
+    basis = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(rng.randint(1, rank))]
+    gens = []
+    for _ in range(rng.randint(1, 6)):
+        coeffs = [rng.randint(1, 3)] + [rng.randint(-2, 2) for _ in basis[1:]]
+        gens.append([sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(rank)])
+    datum = HorosphericalDatum(rank, 0, gens)
+    assume(is_pointed(datum.cone))
+    dual_rays = dual_cone(datum.cone).rays
+    for face in datum.faces:
+        face_rays = [datum.cone.rays[j] for j in face.span_rays]
+        total = (0,) * rank
+        for u in dual_rays:
+            if all(dot(u, r) == 0 for r in face_rays):
+                total = vadd(total, u)
+        assert grading_for_face(datum, face).functional == primitive(total)
