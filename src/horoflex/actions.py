@@ -40,9 +40,6 @@ class DiagonalTorusAction:
             self, "cyclic_weights", tuple(c % self.cyclic_order for c in cyc)
         )
 
-    def weight_of(self, var: str) -> int:
-        return self.weights[self.variables.index(var)]
-
 
 @dataclass(frozen=True)
 class MonomialWeightReport:

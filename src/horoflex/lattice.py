@@ -307,9 +307,24 @@ def group_generated(gens: Sequence[Sequence[int]]) -> LatticeSubgroup:
 # double description: halfspaces -> generators
 
 
-def _is_extreme(ray: Vec, constraints: Sequence[Vec], lineality_dim: int, n: int) -> bool:
-    tight = [c for c in constraints if dot(c, ray) == 0]
-    return n - matrix_rank(tight) == lineality_dim + 1
+def _extreme(vecs: Sequence[Vec], normals: Sequence[Vec]) -> list[Vec]:
+    """The vecs on extreme rays of ``{x : a.x >= 0 for a in normals}``.
+
+    A vec is dropped when every normal vanishes on it (a lineality
+    direction), or when another vec's zero set lies strictly between its
+    own and the set of all normals (Fukuda & Prodon, "Double description
+    method revisited", 1996).  Exact whenever the vecs and the lineality
+    space generate the cone: the minimal face of v is generated by the
+    vecs whose zero sets contain Z(v), and every extreme ray in it has a
+    representative among them.
+    """
+    full = (1 << len(normals)) - 1
+    zeros = [sum(1 << i for i, a in enumerate(normals) if dot(a, v) == 0) for v in vecs]
+    proper = {z for z in zeros if z != full}
+    return [
+        v for v, z in zip(vecs, zeros)
+        if z != full and not any(w != z and w & z == z for w in proper)
+    ]
 
 
 def generators_from_inequalities(
@@ -318,7 +333,8 @@ def generators_from_inequalities(
     """Lineality basis and extreme rays of ``{x : a.x >= 0 for a in normals}``.
 
     Incremental double description with explicit lineality handling; rays are
-    pruned to extreme ones after every step by an exact rank test.
+    pruned to extreme ones after every step by comparing their zero sets on
+    the normals processed so far (``_extreme``).
     """
     n = ambient_rank
     lines: list[Vec] = [hermite_row(i, n) for i in range(n)]
@@ -348,15 +364,7 @@ def generators_from_inequalities(
                     new.append(primitive(vsub(vscale(ap, q), vscale(dot(a, q), p))))
             rays = new
         processed.append(a)
-        seen: set[Vec] = set()
-        kept: list[Vec] = []
-        for r in rays:
-            if is_zero_vec(r) or r in seen:
-                continue
-            seen.add(r)
-            if _is_extreme(r, processed, len(lines), n):
-                kept.append(r)
-        rays = kept
+        rays = _extreme(list(dict.fromkeys(r for r in rays if not is_zero_vec(r))), processed)
     lines = [tuple(r) for r in hermite_normal_form(lines)]
     return lines, sorted(rays)
 
@@ -395,7 +403,7 @@ class RationalCone:
         object.__setattr__(self, "_ineq_normals", tuple(ineq))
         lineality = integer_kernel_basis(list(eq) + list(ineq), ambient_rank)
         object.__setattr__(self, "_lineality", tuple(lineality))
-        object.__setattr__(self, "rays", _canonical_rays(vecs, eq, ineq, lineality, ambient_rank))
+        object.__setattr__(self, "rays", _canonical_rays(vecs, ineq, lineality))
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("RationalCone is immutable")
@@ -417,12 +425,6 @@ class RationalCone:
             dot(f, vec) >= 0 for f in self._ineq_normals
         )
 
-    def span_rank(self) -> int:
-        return matrix_rank(self.rays) if self.rays else 0
-
-    def is_full_dimensional(self) -> bool:
-        return self.span_rank() == self.ambient_rank
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalCone):
             return NotImplemented
@@ -437,16 +439,11 @@ class RationalCone:
 
 
 def _canonical_rays(
-    gens: list[Vec], eq: Sequence[Vec], ineq: Sequence[Vec], lineality: Sequence[Vec], n: int
+    gens: list[Vec], ineq: Sequence[Vec], lineality: Sequence[Vec]
 ) -> tuple[Vec, ...]:
-    lin_dim = len(lineality)
+    # the generators lie in the span, so the inequalities alone decide extremality
     chosen: dict[Vec, Vec] = {}
-    for g in gens:
-        tight = [f for f in ineq if dot(f, g) == 0]
-        if all(dot(f, g) == 0 for f in ineq):
-            continue  # lineality direction, represented separately
-        if n - matrix_rank(list(tight) + list(eq)) != lin_dim + 1:
-            continue  # interior to some higher face: redundant generator
+    for g in _extreme(gens, ineq):
         key = _quotient_key(g, lineality)
         if key not in chosen or g < chosen[key]:
             chosen[key] = g
@@ -503,21 +500,21 @@ class FaceDescriptor:
 def face_lattice(c: RationalCone) -> list[FaceDescriptor]:
     """All faces of c, each exactly once, ordered by (dim, span_rays).
 
-    Faces are intersections of facets; the meet-closure of the facet ray-sets
-    together with the full cone enumerates them all.  For a pointed cone the
-    zero face appears with an empty ``span_rays``.
+    Faces are intersections of facets; the meet-closure of the ray sets of
+    the facet normals (the ± equality pairs give the whole cone) enumerates
+    them all.  A normal vanishes on a face exactly when its ray set contains
+    the face's.  For a pointed cone the zero face appears with an empty
+    ``span_rays``.
     """
     rays = c.rays
-    normals = c.facet_normals
-    facet_sets = []
-    for f in c._ineq_normals:
-        facet_sets.append(frozenset(j for j, r in enumerate(rays) if dot(f, r) == 0))
-    ray_sets = {frozenset(range(len(rays)))}
-    work = [s for s in facet_sets if s not in ray_sets]
-    ray_sets.update(facet_sets)
+    normal_sets = [
+        frozenset(j for j, r in enumerate(rays) if dot(f, r) == 0) for f in c.facet_normals
+    ]
+    ray_sets = {frozenset(range(len(rays))), *normal_sets}
+    work = list(ray_sets)
     while work:
         s = work.pop()
-        for f in facet_sets:
+        for f in normal_sets:
             t = s & f
             if t not in ray_sets:
                 ray_sets.add(t)
@@ -525,10 +522,8 @@ def face_lattice(c: RationalCone) -> list[FaceDescriptor]:
     faces = []
     for s in ray_sets:
         span = tuple(sorted(s))
+        zero = tuple(i for i, t in enumerate(normal_sets) if s <= t)
         members = [rays[j] for j in span]
-        zero = tuple(
-            i for i, f in enumerate(normals) if all(dot(f, r) == 0 for r in members)
-        )
         faces.append(FaceDescriptor(zero, span, matrix_rank(members) if members else 0))
     faces.sort(key=lambda f: (f.dim, f.span_rays))
     return faces
@@ -550,7 +545,9 @@ def hilbert_basis(c: RationalCone, subgroup: Optional[LatticeSubgroup] = None) -
     irreducible point lies in some such simplicial cone, and unless it is a
     ray of S its coefficients there are all below 1.  Candidates are reduced
     in order of a positive degree, against the irreducible ones found so
-    far; the irreducible ones form the unique minimal generating set.
+    far; the irreducible ones form the unique minimal generating set.  The
+    cone's own facet normals, read in the coordinates of ``Z^d``, test
+    membership, so no second double description is run.
     """
     if not is_pointed(c):
         raise NonPointedError("non-pointed: Hilbert basis undefined here")
@@ -572,8 +569,9 @@ def hilbert_basis(c: RationalCone, subgroup: Optional[LatticeSubgroup] = None) -
     span = _saturated_span(sorted(coords), subgroup.rank)
     d = span.rank
     rays = sorted(span.integer_coordinates(v) for v in coords)
-    # the cone is full-dimensional in Z^d, so it is cut out by its facets alone
-    normals = generators_from_inequalities(rays, d)[1]
+    # h in Z^d is x = hB in Z^n, so a facet normal f of c reads Bf on h
+    frame = [subgroup.member_vector(b) for b in span.basis]
+    normals = [primitive([dot(b, f) for b in frame]) for f in c._ineq_normals]
     degree = [sum(col) for col in zip(*normals)]
     candidates = set(rays)
     for subset in combinations(rays, d):
@@ -598,16 +596,18 @@ def _parallelepiped_points(gens: Sequence[Vec]) -> list[Vec]:
     ``gens`` are ``d`` vectors of ``Z^d``; linearly dependent ones give [].
     The Hermite diagonal of gens lists the cosets as a box of
     representatives x, and x - floor(x gens^-1) gens moves each one into
-    the parallelepiped.
+    the parallelepiped.  A forward elimination settles the dependent and
+    the unimodular subsets before any inverse is formed.
     """
     d = len(gens)
-    # [gens | I] reduces to [det * I | det * gens^-1]
-    work: list[Sequence[int]] = [[*g, *hermite_row(i, d)] for i, g in enumerate(gens)]
-    pivots, det = _eliminate(work, d, d, reduce=True)
+    pivots, det = _eliminate(list(gens), d, d, reduce=False)
     if len(pivots) < d:
         return []
     if abs(det) == 1:
         return [(0,) * d]  # unimodular: a single coset
+    # [gens | I] reduces to [det * I | det * gens^-1]
+    work: list[Sequence[int]] = [[*g, *hermite_row(i, d)] for i, g in enumerate(gens)]
+    det = _eliminate(work, d, d, reduce=True)[1]
     inverse = [row[d:] for row in work]
     diagonal = [row[i] for i, row in enumerate(hermite_normal_form(gens))]
     points = []

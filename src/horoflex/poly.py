@@ -91,25 +91,6 @@ class Polynomial:
             raise ValueError("polynomial is not constant")
         return next(iter(self.terms.values()))
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
-        """Leading (exponent, coefficient) under graded lex; error on zero."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        e = max(self.terms, key=_grlex)
-        return e, self.terms[e]
-
-    def coefficient(self, exps: Mapping[str, int]) -> Fraction:
-        key = tuple(exps.get(v, 0) for v in self.variables)
-        for v in exps:
-            if v not in self.variables and exps[v] > 0:
-                return Fraction(0)
-        return self.terms.get(key, Fraction(0))
-
     # -- universe alignment ----------------------------------------------------
 
     def on_universe(self, universe: tuple[str, ...]) -> dict[tuple[int, ...], Fraction]:
@@ -502,9 +483,6 @@ class Derivation:
 
     def __setattr__(self, name, value):
         raise AttributeError("Derivation is immutable")
-
-    def image(self, var: str) -> Polynomial:
-        return self.images.get(var, constant(0))
 
     def apply(self, p: PolyLike) -> Polynomial:
         p = Polynomial._coerce(p)

@@ -376,7 +376,8 @@ def build_danielewski_report(command: str = "examples run danielewski") -> dict[
 def _verify_witnesses(datum: HorosphericalDatum, witnesses: Any) -> list[str]:
     """Problems with grading witnesses, checked against the cone of the input.
 
-    Each witness must list rays R of the cone as ``face_rays``, carry a
+    Each witness must name a face of the cone's face lattice by
+    ``face_index`` and list that face's rays R and dimension, carry a
     functional that is 0 on R and > 0 on every other ray of the cone, and
     store as degrees the functional's values on the generators, all >= 0.
     The functional is then >= 0 on the cone and R is the ray set of the face
@@ -391,17 +392,26 @@ def _verify_witnesses(datum: HorosphericalDatum, witnesses: Any) -> list[str]:
         return ["witnesses must be a list"]
     rank = datum.ambient_rank
     gens = datum.generators
+    rays = datum.cone.rays
+    faces = datum.faces if witnesses else ()
     problems = []
     for entry in witnesses:
         idx = entry.get("face_index") if isinstance(entry, dict) else None
         try:
             functional = as_vector(entry["functional"], rank)
-            face = {as_vector(r, rank) for r in entry["face_rays"]}
+            face_rays = [as_vector(r, rank) for r in entry["face_rays"]]
             degrees = as_vector(entry["generator_degrees"])
         except (KeyError, TypeError, ValueError) as exc:
             problems.append(f"witness {idx}: malformed entry: {exc}")
             continue
-        rays = datum.cone.rays
+        if type(idx) is not int or not 0 <= idx < len(faces):
+            problems.append(f"witness {idx}: not one of the cone's {len(faces)} faces")
+        else:
+            if face_rays != [rays[j] for j in faces[idx].span_rays]:
+                problems.append(f"witness {idx}: face rays are not those of face {idx}")
+            if entry.get("dimension") != faces[idx].dim:
+                problems.append(f"witness {idx}: dimension is not that of face {idx}")
+        face = set(face_rays)
         for r in sorted(face.difference(rays)):
             problems.append(f"witness {idx}: face ray {list(r)} is not a ray of the cone")
         for r in rays:
@@ -447,9 +457,11 @@ def _verify_gap(datum: HorosphericalDatum, gap: Any) -> list[str]:
 def verify_check_report(report: dict[str, Any]) -> None:
     """Re-derive every witness invariant from the report's own input.
 
-    The input is parsed again and its cone built once; the canonical
-    generators must be the sorted, deduplicated input generators, and the
-    gap and every witness are checked against that cone.  Raises
+    The input is parsed again and its cone and face lattice built once; the
+    canonical generators must be the sorted, deduplicated input generators,
+    a certified ``check`` report must list face i at position i for every
+    face, a ``grading`` report's ``face_count`` must be the number of faces,
+    and the gap and every witness are checked against that cone.  Raises
     CorruptReportError listing every inconsistency; called on every
     certificate-bearing report before emission.
     """
@@ -483,6 +495,15 @@ def verify_check_report(report: dict[str, Any]) -> None:
                 problems.append("canonical generators are not the sorted input generators")
             if status == FlexStatus.NOT_COVERED_NOT_NORMAL.value:
                 problems.extend(_verify_gap(datum, gap))
+            listed = report.get("witnesses")
+            if status == FlexStatus.CERTIFIED_FLEXIBLE.value and isinstance(listed, list):
+                order = [w.get("face_index") if isinstance(w, dict) else None for w in listed]
+                if order != list(range(len(datum.faces))):
+                    problems.append(
+                        f"witnesses do not list the cone's {len(datum.faces)} faces in order"
+                    )
+            if "witness" in report and report.get("face_count") != len(datum.faces):
+                problems.append(f"face_count is not the cone's {len(datum.faces)} faces")
             problems.extend(_verify_witnesses(datum, witnesses))
     if problems:
         raise CorruptReportError("; ".join(problems))

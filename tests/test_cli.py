@@ -332,6 +332,59 @@ def test_verify_rejects_wrong_face_rays(face_rays, reason):
         verify_check_report(bad)
 
 
+QUAD_SPEC = DatumSpec(2, 1, ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)))
+
+
+def _drop_three_witnesses(report):
+    del report["witnesses"][3:6]
+
+
+def _every_witness_face_zero(report):
+    report["witnesses"] = [copy.deepcopy(report["witnesses"][0]) for _ in range(10)]
+
+
+def _every_face_index_seven(report):
+    for w in report["witnesses"]:
+        w["face_index"] = 7
+
+
+@pytest.mark.parametrize(
+    "tamper, reason",
+    [
+        (_drop_three_witnesses, "do not list the cone's 10 faces in order"),
+        (_every_witness_face_zero, "do not list the cone's 10 faces in order"),
+        (_every_face_index_seven, "face rays are not those of face 7"),
+    ],
+)
+def test_verify_rejects_incomplete_face_list(tamper, reason):
+    # the cone over the unit square has 10 faces, each needing its witness
+    report = build_check_report(QUAD_SPEC)
+    assert [w["face_index"] for w in report["witnesses"]] == list(range(10))
+    verify_check_report(report)
+    bad = copy.deepcopy(report)
+    tamper(bad)
+    with pytest.raises(CorruptReportError, match=reason):
+        verify_check_report(bad)
+
+
+@pytest.mark.parametrize(
+    "key, value, reason",
+    [
+        ("face_count", 99, "face_count is not the cone's 10 faces"),
+        ("dimension", 2, "dimension is not that of face 3"),
+        ("face_index", 99, "not one of the cone's 10 faces"),
+    ],
+)
+def test_verify_rejects_wrong_grading_face(key, value, reason):
+    report = build_grading_report(QUAD_SPEC, 3)
+    assert report["witness"]["dimension"] == 1
+    verify_check_report(report)
+    bad = copy.deepcopy(report)
+    (bad if key == "face_count" else bad["witness"])[key] = value
+    with pytest.raises(CorruptReportError, match=reason):
+        verify_check_report(bad)
+
+
 @pytest.mark.parametrize(
     "path, value",
     [

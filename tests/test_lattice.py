@@ -428,3 +428,60 @@ def test_face_lattice_structure(gens):
             normal = c.facet_normals[i]
             for j in f.span_rays:
                 assert dot(normal, c.rays[j]) == 0
+
+
+@st.composite
+def cones_with_lines(draw):
+    # rank 1-5, generators in the span of 1..rank random vectors (so often
+    # not full-dimensional); sums of two generators often lie inside a
+    # proper face, and a negated generator often adds a line
+    rank = draw(st.integers(1, 5))
+    entry = st.integers(-2, 2)
+    basis = draw(st.lists(st.lists(entry, min_size=rank, max_size=rank),
+                          min_size=1, max_size=rank))
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis))
+    gens = [
+        tuple(sum(a * b[j] for a, b in zip(cs, basis)) for j in range(rank))
+        for cs in draw(st.lists(coeffs, min_size=1, max_size=6))
+    ]
+    index = st.integers(0, len(gens) - 1)
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=3)):
+        gens.append(tuple(a + b for a, b in zip(gens[i], gens[j])))
+    if draw(st.booleans()):
+        gens.append(tuple(-a for a in gens[0]))
+    return rank, gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(cones_with_lines())
+def test_extreme_rays_and_face_incidence_match_rank_route(case):
+    rank, gens = case
+    c = RationalCone(gens, rank)
+    normals = c.facet_normals
+    lineality = list(c.lineality_basis)
+    lin_dim = rank - rational_rank(normals)
+    assert len(lineality) == lin_dim
+
+    def extreme(v):
+        # the face of v spans the kernel of the normals tight at v
+        return rank - rational_rank([f for f in normals if dot(f, v) == 0]) == lin_dim + 1
+
+    lines = set(lineality) | {tuple(-a for a in v) for v in lineality}
+    rays = [r for r in c.rays if r not in lines]
+    primitives = {primitive(g) for g in gens if any(g)}
+    for r in rays:
+        assert r in primitives and extreme(r)
+    for g in primitives:
+        # extreme generators lie on exactly one listed ray modulo the lineality
+        if extreme(g):
+            same_ray = [r for r in rays if rational_rank(lineality + [r, g]) == lin_dim + 1]
+            assert len(same_ray) == 1
+        else:
+            assert g not in rays
+    for face in face_lattice(c):
+        members = [c.rays[j] for j in face.span_rays]
+        vanishing = tuple(
+            i for i, f in enumerate(normals) if all(dot(f, r) == 0 for r in members)
+        )
+        assert face.zero_normals == vanishing
+        assert face.dim == rational_rank(members)

@@ -291,7 +291,7 @@ def test_saturation_gap_is_first_basis_element_outside_the_semigroup(seed):
 
 
 def test_verdict_computes_cone_data_once(monkeypatch):
-    # one double description for the cone and one inside hilbert_basis;
+    # one double description for the cone (hilbert_basis reuses its facets);
     # the report audit builds the input's cone once and no cone per witness
     calls = []
     original = lattice_module.generators_from_inequalities
@@ -306,7 +306,7 @@ def test_verdict_computes_cone_data_once(monkeypatch):
     verdict = flexibility_verdict(cube)
     assert verdict.status is FlexStatus.CERTIFIED_FLEXIBLE
     assert len(verdict.witnesses) == 28
-    assert len(calls) == 2
+    assert len(calls) == 1
     report = build_check_report(spec_of(cube))
     calls.clear()
     verify_check_report(report)
