@@ -11,12 +11,13 @@ import argparse
 import json
 import sys
 import time
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
-from .registry import list_examples, run_example
+from .registry import build_example, list_examples
 from .reporting import (
     SCHEMA_VERSION,
     TOOL_VERSION,
+    DatumSpec,
     build_check_report,
     build_ehm_report,
     build_grading_report,
@@ -60,15 +61,26 @@ def _verdict_code(report: dict[str, Any]) -> int:
     return 0
 
 
+def _with_datum(build: Callable[..., dict[str, Any]], spec: DatumSpec, *args: Any):
+    """The report ``build`` makes of spec, and the datum it was made from."""
+    datum = spec.to_datum()
+    return build(spec, *args, datum=datum), datum
+
+
 def _run(args: argparse.Namespace) -> int:
     """Build the subcommand's report, audit it if the subcommand asks, print it.
 
-    ``timing_ms`` covers loading the input, building and auditing.
+    An audited subcommand builds its report together with the datum it was
+    built from (None if it has none), and the audit reads that datum's cone
+    and face lattice.  ``timing_ms`` covers loading the input, building and
+    auditing.
     """
     start = time.perf_counter()
-    report = args.build(args)
     if args.audit:
-        verify_check_report(report)
+        report, datum = args.build(args)
+        verify_check_report(report, datum)
+    else:
+        report = args.build(args)
     _emit(report, args.format, (time.perf_counter() - start) * 1000)
     return _verdict_code(report)
 
@@ -93,7 +105,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("check", help="full verdict with per-orbit grading witnesses")
     p.add_argument("file", help="JSON datum file")
     _add_format(p)
-    p.set_defaults(build=lambda a: build_check_report(_load_spec(a.file)), audit=True)
+    p.set_defaults(
+        build=lambda a: _with_datum(build_check_report, _load_spec(a.file)), audit=True
+    )
 
     p = sub.add_parser("saturate", help="close the semigroup inside its cone")
     p.add_argument("file", help="JSON datum file")
@@ -110,7 +124,8 @@ def build_parser() -> _Parser:
     p.add_argument("--face", type=int, required=True, help="face index")
     _add_format(p)
     p.set_defaults(
-        build=lambda a: build_grading_report(_load_spec(a.file), a.face), audit=True
+        build=lambda a: _with_datum(build_grading_report, _load_spec(a.file), a.face),
+        audit=True,
     )
 
     p = sub.add_parser("ehm", help="hypersurface family identity checks")
@@ -132,7 +147,7 @@ def build_parser() -> _Parser:
     e = esub.add_parser("run", help="run one example")
     e.add_argument("name")
     _add_format(e)
-    e.set_defaults(build=lambda a: run_example(a.name), audit=True)
+    e.set_defaults(build=lambda a: build_example(a.name), audit=True)
 
     return parser
 

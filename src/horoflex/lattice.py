@@ -307,24 +307,23 @@ def group_generated(gens: Sequence[Sequence[int]]) -> LatticeSubgroup:
 # double description: halfspaces -> generators
 
 
-def _extreme(vecs: Sequence[Vec], normals: Sequence[Vec]) -> list[Vec]:
-    """The vecs on extreme rays of ``{x : a.x >= 0 for a in normals}``.
+def _extreme(zeros: dict[Vec, int], full: int) -> dict[Vec, int]:
+    """The vecs on extreme rays of the cone cut out by the normals of ``full``.
 
-    A vec is dropped when every normal vanishes on it (a lineality
-    direction), or when another vec's zero set lies strictly between its
-    own and the set of all normals (Fukuda & Prodon, "Double description
-    method revisited", 1996).  Exact whenever the vecs and the lineality
-    space generate the cone: the minimal face of v is generated by the
-    vecs whose zero sets contain Z(v), and every extreme ray in it has a
-    representative among them.
+    ``zeros`` maps each vec to its zero set, with bit i set when normal i
+    vanishes on it, and ``full`` is the set of all normals.  A vec is
+    dropped when every normal vanishes on it (a lineality direction), or
+    when another vec's zero set lies strictly between its own and ``full``
+    (Fukuda & Prodon, "Double description method revisited", 1996).  Exact
+    whenever the vecs and the lineality space generate the cone: the
+    minimal face of v is generated by the vecs whose zero sets contain
+    Z(v), and every extreme ray in it has a representative among them.
     """
-    full = (1 << len(normals)) - 1
-    zeros = [sum(1 << i for i, a in enumerate(normals) if dot(a, v) == 0) for v in vecs]
-    proper = {z for z in zeros if z != full}
-    return [
-        v for v, z in zip(vecs, zeros)
+    proper = {z for z in zeros.values() if z != full}
+    return {
+        v: z for v, z in zeros.items()
         if z != full and not any(w != z and w & z == z for w in proper)
-    ]
+    }
 
 
 def generators_from_inequalities(
@@ -332,18 +331,27 @@ def generators_from_inequalities(
 ) -> tuple[list[Vec], list[Vec]]:
     """Lineality basis and extreme rays of ``{x : a.x >= 0 for a in normals}``.
 
-    Incremental double description with explicit lineality handling; rays are
-    pruned to extreme ones after every step by comparing their zero sets on
-    the normals processed so far (``_extreme``).
+    Incremental double description with explicit lineality handling.  Each
+    ray carries its zero set on the normals processed so far as a bitmask,
+    updated without dot products: when normal ``a`` (bit ``b``) vanishes on
+    ray r, r gains b; the combination ``(a.p) q - (a.q) p`` of p (a.p > 0)
+    and q (a.q < 0) gets ``Z(p) & Z(q) | b``, because on an earlier normal
+    it is a sum of two nonnegative terms.  When ``a`` meets a line w, the
+    other rays are moved into the kernel of ``a`` along w and gain b, and w
+    becomes a ray vanishing on every earlier normal, since processed normals
+    vanish on the lines.  Rays are pruned to extreme ones after every step
+    by comparing those masks (``_extreme``).
     """
     n = ambient_rank
     lines: list[Vec] = [hermite_row(i, n) for i in range(n)]
-    rays: list[Vec] = []
-    processed: list[Vec] = []
+    zeros: dict[Vec, int] = {}  # ray -> zero set on the processed normals
+    processed = 0
     for raw in normals:
         a = as_vector(raw, n)
         if is_zero_vec(a):
             continue
+        bit = 1 << processed
+        new: list[tuple[Vec, int]] = []
         hit = next((i for i, v in enumerate(lines) if dot(a, v) != 0), None)
         if hit is not None:
             w = lines.pop(hit)
@@ -351,22 +359,27 @@ def generators_from_inequalities(
                 w = vneg(w)
             aw = dot(a, w)
             lines = [primitive(vsub(vscale(aw, v), vscale(dot(a, v), w))) for v in lines]
-            rays = [primitive(vsub(vscale(aw, r), vscale(dot(a, r), w))) for r in rays]
-            rays.append(w)
+            for r, z in zeros.items():
+                new.append((primitive(vsub(vscale(aw, r), vscale(dot(a, r), w))), z | bit))
+            new.append((w, bit - 1))
         else:
-            pos = [r for r in rays if dot(a, r) > 0]
-            zero = [r for r in rays if dot(a, r) == 0]
-            neg = [r for r in rays if dot(a, r) < 0]
-            new = zero + pos
-            for p in pos:
-                ap = dot(a, p)
-                for q in neg:
-                    new.append(primitive(vsub(vscale(ap, q), vscale(dot(a, q), p))))
-            rays = new
-        processed.append(a)
-        rays = _extreme(list(dict.fromkeys(r for r in rays if not is_zero_vec(r))), processed)
+            pos, neg = [], []
+            for r, z in zeros.items():
+                ar = dot(a, r)
+                if ar == 0:
+                    new.append((r, z | bit))
+                elif ar > 0:
+                    new.append((r, z))
+                    pos.append((r, z, ar))
+                else:
+                    neg.append((r, z, ar))
+            for p, zp, ap in pos:
+                for q, zq, aq in neg:
+                    new.append((primitive(vsub(vscale(ap, q), vscale(aq, p))), zp & zq | bit))
+        processed += 1
+        zeros = _extreme({r: z for r, z in new if not is_zero_vec(r)}, (1 << processed) - 1)
     lines = [tuple(r) for r in hermite_normal_form(lines)]
-    return lines, sorted(rays)
+    return lines, sorted(zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +455,9 @@ def _canonical_rays(
     gens: list[Vec], ineq: Sequence[Vec], lineality: Sequence[Vec]
 ) -> tuple[Vec, ...]:
     # the generators lie in the span, so the inequalities alone decide extremality
+    zeros = {g: sum(1 << i for i, f in enumerate(ineq) if dot(f, g) == 0) for g in gens}
     chosen: dict[Vec, Vec] = {}
-    for g in _extreme(gens, ineq):
+    for g in _extreme(zeros, (1 << len(ineq)) - 1):
         key = _quotient_key(g, lineality)
         if key not in chosen or g < chosen[key]:
             chosen[key] = g
@@ -502,15 +516,19 @@ def face_lattice(c: RationalCone) -> list[FaceDescriptor]:
 
     Faces are intersections of facets; the meet-closure of the ray sets of
     the facet normals (the ± equality pairs give the whole cone) enumerates
-    them all.  A normal vanishes on a face exactly when its ray set contains
-    the face's.  For a pointed cone the zero face appears with an empty
+    them all.  Ray sets are int bitmasks.  A normal vanishes on a face
+    exactly when its ray set contains the face's.  The face lattice is
+    graded (Ziegler, *Lectures on Polytopes*, §2.2): visiting ray sets
+    subsets first, a face is one dimension above its largest proper
+    subfaces, and the minimal face, the lineality space, has the dimension
+    of its basis.  For a pointed cone that is the zero face, with an empty
     ``span_rays``.
     """
     rays = c.rays
     normal_sets = [
-        frozenset(j for j, r in enumerate(rays) if dot(f, r) == 0) for f in c.facet_normals
+        sum(1 << j for j, r in enumerate(rays) if dot(f, r) == 0) for f in c.facet_normals
     ]
-    ray_sets = {frozenset(range(len(rays))), *normal_sets}
+    ray_sets = {(1 << len(rays)) - 1, *normal_sets}
     work = list(ray_sets)
     while work:
         s = work.pop()
@@ -519,12 +537,15 @@ def face_lattice(c: RationalCone) -> list[FaceDescriptor]:
             if t not in ray_sets:
                 ray_sets.add(t)
                 work.append(t)
+    dims: dict[int, int] = {}
+    for s in sorted(ray_sets):  # a subset is a smaller int: subfaces come first
+        below = [d for g, d in dims.items() if g & s == g]
+        dims[s] = 1 + max(below) if below else len(c.lineality_basis)
     faces = []
-    for s in ray_sets:
-        span = tuple(sorted(s))
-        zero = tuple(i for i, t in enumerate(normal_sets) if s <= t)
-        members = [rays[j] for j in span]
-        faces.append(FaceDescriptor(zero, span, matrix_rank(members) if members else 0))
+    for s, dim in dims.items():
+        span = tuple(j for j in range(len(rays)) if s >> j & 1)
+        zero = tuple(i for i, t in enumerate(normal_sets) if s & t == s)
+        faces.append(FaceDescriptor(zero, span, dim))
     faces.sort(key=lambda f: (f.dim, f.span_rays))
     return faces
 

@@ -6,7 +6,7 @@ at the command-line boundary so repeated runs are byte-identical.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 from .reporting import (
     DatumSpec,
@@ -15,30 +15,13 @@ from .reporting import (
     build_danielewski_report,
     build_ehm_report,
 )
+from .semigroup import HorosphericalDatum
 
-
-def _check_example(name: str, spec: DatumSpec) -> dict[str, Any]:
-    report = build_check_report(spec, command=f"examples run {name}")
-    report["name"] = name
-    return report
-
-
-def _cusp() -> dict[str, Any]:
-    return _check_example("cusp", DatumSpec(1, 0, ((2,), (3,)), "cusp"))
-
-
-def _plane() -> dict[str, Any]:
-    return _check_example("plane", DatumSpec(2, 0, ((1, 0), (0, 1)), "plane"))
-
-
-def _veronese() -> dict[str, Any]:
-    return _check_example(
-        "veronese", DatumSpec(2, 0, ((1, 0), (1, 1), (1, 2)), "veronese")
-    )
-
-
-def _danielewski() -> dict[str, Any]:
-    return build_danielewski_report()
+_CHECK_EXAMPLES: dict[str, DatumSpec] = {
+    "cusp": DatumSpec(1, 0, ((2,), (3,)), "cusp"),
+    "plane": DatumSpec(2, 0, ((1, 0), (0, 1)), "plane"),
+    "veronese": DatumSpec(2, 0, ((1, 0), (1, 1), (1, 2)), "veronese"),
+}
 
 
 def _ehm(p: int, q: int, m: int) -> Callable[[], dict[str, Any]]:
@@ -52,25 +35,33 @@ def _ehm(p: int, q: int, m: int) -> Callable[[], dict[str, Any]]:
     return build
 
 
-_EXAMPLES: dict[str, Callable[[], dict[str, Any]]] = {
-    "cusp": _cusp,
-    "plane": _plane,
-    "veronese": _veronese,
-    "danielewski": _danielewski,
+_POLYNOMIAL_EXAMPLES: dict[str, Callable[[], dict[str, Any]]] = {
+    "danielewski": build_danielewski_report,
     "ehm-1-2-1": _ehm(1, 2, 1),
     "ehm-2-3-4": _ehm(2, 3, 4),
 }
 
 
 def list_examples() -> list[str]:
-    return sorted(_EXAMPLES)
+    return sorted([*_CHECK_EXAMPLES, *_POLYNOMIAL_EXAMPLES])
 
 
-def run_example(name: str) -> dict[str, Any]:
+def build_example(name: str) -> tuple[dict[str, Any], Optional[HorosphericalDatum]]:
+    """The example's report and the datum it was built from (None if it has none)."""
+    spec = _CHECK_EXAMPLES.get(name)
+    if spec is not None:
+        datum = spec.to_datum()
+        report = build_check_report(spec, command=f"examples run {name}", datum=datum)
+        report["name"] = name
+        return report, datum
     try:
-        build = _EXAMPLES[name]
+        build = _POLYNOMIAL_EXAMPLES[name]
     except KeyError:
         raise SpecError(
             f"unknown example {name!r}; available: " + ", ".join(list_examples())
         ) from None
-    return build()
+    return build(), None
+
+
+def run_example(name: str) -> dict[str, Any]:
+    return build_example(name)[0]

@@ -28,7 +28,7 @@ from .ehm import (
     verify_special_point,
     verify_weight_identity,
 )
-from .lattice import RationalCone, as_vector, dot
+from .lattice import RationalCone, as_vector, dot, is_pointed
 from .semigroup import (
     FlexStatus,
     GradingWitness,
@@ -193,8 +193,12 @@ def _witness_payload(index: int, witness: GradingWitness, cone: RationalCone) ->
     }
 
 
-def build_check_report(spec: DatumSpec, command: str = "check") -> dict[str, Any]:
-    datum = spec.to_datum()
+def build_check_report(
+    spec: DatumSpec, command: str = "check", datum: Optional[HorosphericalDatum] = None
+) -> dict[str, Any]:
+    """The verdict report of spec; ``datum``, if given, is ``spec.to_datum()``."""
+    if datum is None:
+        datum = spec.to_datum()
     verdict = flexibility_verdict(datum)
     gap = None if verdict.saturation_gap is None else list(verdict.saturation_gap)
     return _envelope(
@@ -259,9 +263,14 @@ def build_orbits_report(spec: DatumSpec, command: str = "orbits") -> dict[str, A
 
 
 def build_grading_report(
-    spec: DatumSpec, face_index: int, command: str = "grading"
+    spec: DatumSpec,
+    face_index: int,
+    command: str = "grading",
+    datum: Optional[HorosphericalDatum] = None,
 ) -> dict[str, Any]:
-    datum = spec.to_datum()
+    """The witness report of one face; ``datum``, if given, is ``spec.to_datum()``."""
+    if datum is None:
+        datum = spec.to_datum()
     faces = datum.faces
     if not 0 <= face_index < len(faces):
         raise SpecError(
@@ -454,28 +463,40 @@ def _verify_gap(datum: HorosphericalDatum, gap: Any) -> list[str]:
     return problems
 
 
-def verify_check_report(report: dict[str, Any]) -> None:
+def verify_check_report(
+    report: dict[str, Any], datum: Optional[HorosphericalDatum] = None
+) -> None:
     """Re-derive every witness invariant from the report's own input.
 
-    The input is parsed again and its cone and face lattice built once; the
+    The input is parsed again.  The command line passes the ``datum`` the
+    report was built from: the parsed input must then have its ranks and
+    generators, and the audit reads that datum's cone and face lattice
+    instead of building them again.  Without it (a report from elsewhere)
+    the parsed input's cone and face lattice are built, once.  The
     canonical generators must be the sorted, deduplicated input generators,
-    a certified ``check`` report must list face i at position i for every
-    face, a ``grading`` report's ``face_count`` must be the number of faces,
-    and the gap and every witness are checked against that cone.  Raises
-    CorruptReportError listing every inconsistency; called on every
+    the status must be ``NotCovered_UnitsExist`` exactly when the cone has
+    a line, a certified ``check`` report must list face i at position i for
+    every face, a ``grading`` report's ``face_count`` must be the number of
+    faces, and the gap and every witness are checked against that cone.
+    Raises CorruptReportError listing every inconsistency; called on every
     certificate-bearing report before emission.
     """
     problems = []
     if report.get("schema") != SCHEMA_VERSION:
         problems.append("unknown schema version")
+    known = [s.value for s in FlexStatus]  # a list: a tampered status may not hash
     status = gap = None
     witnesses = []
     if "verdict" in report:
-        status = report["verdict"].get("status")
-        if status not in {s.value for s in FlexStatus}:
+        verdict = report["verdict"]
+        if not isinstance(verdict, dict):
+            problems.append(f"malformed verdict {verdict!r}")
+            verdict = {}
+        status = verdict.get("status")
+        if status not in known:
             problems.append(f"unknown verdict status {status!r}")
         witnesses = report.get("witnesses", [])
-        gap = report["verdict"].get("saturation_gap")
+        gap = verdict.get("saturation_gap")
         if status == FlexStatus.CERTIFIED_FLEXIBLE.value:
             if gap is not None:
                 problems.append("certified verdict carries a saturation gap")
@@ -487,12 +508,23 @@ def verify_check_report(report: dict[str, Any]) -> None:
         witnesses = [*witnesses, report["witness"]]
     if "verdict" in report or "witness" in report:
         try:
-            datum = _spec_from_payload(report.get("input")).to_datum()
+            parsed = _spec_from_payload(report.get("input")).to_datum()
         except SpecError as exc:
             problems.append(f"report input is malformed: {exc}")
         else:
+            if datum is None:
+                datum = parsed
+            elif datum != parsed:  # dataclass equality: ranks and sorted generators
+                problems.append("report input is not the datum it was built from")
+                datum = parsed
             if report.get("canonical_generators") != [list(g) for g in datum.generators]:
                 problems.append("canonical generators are not the sorted input generators")
+            if status in known:
+                units = status == FlexStatus.NOT_COVERED_UNITS_EXIST.value
+                if units == is_pointed(datum.cone):
+                    problems.append(
+                        f"status {status} but the cone {'has no' if units else 'has a'} line"
+                    )
             if status == FlexStatus.NOT_COVERED_NOT_NORMAL.value:
                 problems.extend(_verify_gap(datum, gap))
             listed = report.get("witnesses")

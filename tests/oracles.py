@@ -2,7 +2,8 @@
 
 Everything here recomputes package results along different algorithmic
 routes: cone membership via Fourier-Motzkin projection of the multiplier
-polytope, lattice membership via Smith-style diagonalization, semigroup
+polytope, double description with every zero set recomputed by dot
+products, lattice membership via Smith-style diagonalization, semigroup
 membership via exhaustive descent.  None of the package's cone, lattice,
 or Hilbert-basis machinery is imported.
 """
@@ -98,6 +99,66 @@ def cone_is_pointed(normals: Sequence[Vec], rank: int) -> bool:
     if not normals:
         return False
     return rational_rank(normals) == rank
+
+
+# ---------------------------------------------------------------------------
+# double description with zero sets recomputed by dot products
+
+
+def _extreme_by_dots(vecs: Sequence[Vec], normals: Sequence[Vec]) -> list[Vec]:
+    """The vecs on extreme rays of ``{x : a.x >= 0 for a in normals}``.
+
+    Drops lineality directions and every vec whose zero set, recomputed from
+    the normals, lies strictly inside another vec's proper zero set.
+    """
+    full = (1 << len(normals)) - 1
+    zeros = [sum(1 << i for i, a in enumerate(normals) if dot(a, v) == 0) for v in vecs]
+    proper = {z for z in zeros if z != full}
+    return [
+        v for v, z in zip(vecs, zeros)
+        if z != full and not any(w != z and w & z == z for w in proper)
+    ]
+
+
+def double_description_by_dots(
+    normals: Sequence[Vec], rank: int
+) -> tuple[list[Vec], list[Vec]]:
+    """A basis of the lineality space and the extreme rays of {x : a.x >= 0}.
+
+    Incremental double description that prunes after every normal with zero
+    sets recomputed by dot products.  The lineality basis is not put in
+    Hermite form.
+    """
+
+    def combine(c: int, u: Vec, d: int, v: Vec) -> Vec:
+        return _normalize(tuple(c * x - d * y for x, y in zip(u, v)))
+
+    lines: list[Vec] = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    rays: list[Vec] = []
+    processed: list[Vec] = []
+    for a in map(tuple, normals):
+        if not any(a):
+            continue
+        hit = next((i for i, v in enumerate(lines) if dot(a, v) != 0), None)
+        if hit is not None:
+            w = lines.pop(hit)
+            if dot(a, w) < 0:
+                w = tuple(-x for x in w)
+            aw = dot(a, w)
+            lines = [combine(aw, v, dot(a, v), w) for v in lines]
+            rays = [combine(aw, r, dot(a, r), w) for r in rays]
+            rays.append(w)
+        else:
+            pos = [r for r in rays if dot(a, r) > 0]
+            neg = [r for r in rays if dot(a, r) < 0]
+            new = [r for r in rays if dot(a, r) >= 0]
+            for p in pos:
+                for q in neg:
+                    new.append(combine(dot(a, p), q, dot(a, q), p))
+            rays = new
+        processed.append(a)
+        rays = _extreme_by_dots(list(dict.fromkeys(r for r in rays if any(r))), processed)
+    return lines, sorted(rays)
 
 
 # ---------------------------------------------------------------------------

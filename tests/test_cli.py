@@ -332,6 +332,59 @@ def test_verify_rejects_wrong_face_rays(face_rays, reason):
         verify_check_report(bad)
 
 
+@pytest.mark.parametrize(
+    "generators, status, gap, reason",
+    [
+        # the pointed quadrant, claimed to have units
+        ([[1, 0], [0, 1]], "NotCovered_UnitsExist", None, "the cone has no line"),
+        # a half-plane, whose units are hidden behind a gap in its cone and group
+        ([[1, 0], [-1, 0], [0, 1]], "NotCovered_NotNormal", [1, 0], "the cone has a line"),
+    ],
+)
+def test_verify_rejects_wrong_units_verdict(generators, status, gap, reason):
+    spec = DatumSpec(2, 0, tuple(map(tuple, generators)))
+    report = build_check_report(spec)
+    verify_check_report(report)
+    bad = copy.deepcopy(report)
+    bad["verdict"] = {"status": status, "saturation_gap": gap}
+    bad["witnesses"] = []
+    with pytest.raises(CorruptReportError, match=reason):
+        verify_check_report(bad)
+
+
+@pytest.mark.parametrize(
+    "verdict, reason",
+    [
+        ("x", "malformed verdict"),
+        (None, "malformed verdict"),
+        (3, "malformed verdict"),
+        ({"status": ["CertifiedFlexible"]}, "unknown verdict status"),
+    ],
+)
+def test_verify_rejects_malformed_verdict(verdict, reason):
+    bad = build_check_report(parse_spec(VERONESE_TEXT))
+    bad["verdict"] = verdict
+    with pytest.raises(CorruptReportError, match=reason):
+        verify_check_report(bad)
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        DatumSpec(2, 0, ((1, 0), (0, 1))),
+        # the same generators with the second coordinate dominant
+        DatumSpec(1, 1, ((1, 0), (1, 1), (1, 2))),
+    ],
+)
+def test_verify_rejects_datum_other_than_input(other):
+    spec = parse_spec(VERONESE_TEXT)
+    datum = spec.to_datum()
+    for report in (build_check_report(spec, datum=datum), build_grading_report(spec, 1)):
+        verify_check_report(report, datum)
+        with pytest.raises(CorruptReportError, match="not the datum it was built from"):
+            verify_check_report(report, other.to_datum())
+
+
 QUAD_SPEC = DatumSpec(2, 1, ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)))
 
 
@@ -411,10 +464,12 @@ def test_corrupted_report_aborts_cli(veronese_file, capsys, monkeypatch):
     genuine = build_check_report(parse_spec(VERONESE_TEXT))
     corrupted = copy.deepcopy(genuine)
     corrupted["witnesses"][2]["generator_degrees"] = [9, 9, 9]
-    monkeypatch.setattr(cli_module, "build_check_report", lambda spec: corrupted)
+    monkeypatch.setattr(cli_module, "build_check_report", lambda spec, datum: corrupted)
     code = main(["check", veronese_file])
     assert code == 1
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "stored degree 9" in captured.err
 
 
 def test_rank_five_cube_check_and_saturate(tmp_path, capsys):

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import horoflex.lattice as lattice_module
+import horoflex.semigroup as semigroup_module
+from horoflex.cli import main
 from horoflex.lattice import (
     NonPointedError,
     dot,
@@ -290,27 +292,45 @@ def test_saturation_gap_is_first_basis_element_outside_the_semigroup(seed):
     assert is_saturated(datum).gap == expected
 
 
-def test_verdict_computes_cone_data_once(monkeypatch):
+def test_verdict_computes_cone_data_once(monkeypatch, tmp_path, capsys):
     # one double description for the cone (hilbert_basis reuses its facets);
-    # the report audit builds the input's cone once and no cone per witness
+    # the report audit builds the input's cone and face lattice once and no
+    # cone per witness; a CLI op hands its datum to the audit, so it builds
+    # the cone and the face lattice once in all
     calls = []
+    lattices = []
     original = lattice_module.generators_from_inequalities
+    original_faces = semigroup_module.face_lattice
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
+    def counted_faces(cone):
+        lattices.append(cone)
+        return original_faces(cone)
+
     monkeypatch.setattr(lattice_module, "generators_from_inequalities", counted)
+    monkeypatch.setattr(semigroup_module, "face_lattice", counted_faces)
     vertices = [(x, y, z, 1) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
     cube = HorosphericalDatum(3, 1, vertices)
     verdict = flexibility_verdict(cube)
     assert verdict.status is FlexStatus.CERTIFIED_FLEXIBLE
     assert len(verdict.witnesses) == 28
-    assert len(calls) == 1
+    assert (len(calls), len(lattices)) == (1, 1)
     report = build_check_report(spec_of(cube))
     calls.clear()
+    lattices.clear()
     verify_check_report(report)
-    assert len(calls) == 1
+    assert (len(calls), len(lattices)) == (1, 1)
+    path = tmp_path / "r4-cube.json"
+    path.write_text(spec_of(cube).dumps())
+    for argv in (["grading", str(path), "--face", "11"], ["check", str(path)]):
+        calls.clear()
+        lattices.clear()
+        assert main(argv) == 0
+        assert (len(calls), len(lattices)) == (1, 1), argv
+    capsys.readouterr()
 
 
 @settings(max_examples=60, deadline=None)
