@@ -47,7 +47,7 @@ def build_ehm(p: int, q: int, m: int) -> EHMDatum:
     below one; the family degenerates otherwise) and a twist order m >= 1.
     """
     for name, value in (("p", p), ("q", q), ("m", m)):
-        if not isinstance(value, int) or value < 1:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ValueError(f"{name} must be a positive integer")
     if gcd(p, q) != 1:
         raise ValueError("p and q must be coprime")
@@ -75,25 +75,34 @@ class InvariantMonomial:
 
 
 def enumerate_invariant_monomials(datum: EHMDatum, degree_bound: int) -> list[InvariantMonomial]:
-    """All twist-invariant monomials of total degree <= degree_bound."""
-    if not isinstance(degree_bound, int) or degree_bound < 0:
+    """All twist-invariant monomials of total degree <= degree_bound.
+
+    Every condition on the exponents (s, u, v, w, z) depends only on the
+    degree pair A = s + u, B = v + w: the twisted weight vanishes when
+    p*A - q*B = k*z for an integer z >= 0, the cyclic residue when
+    B = A (mod a), and the degree bound reads A + B + z <= degree_bound.
+    So the loop runs over the pairs, B stepping by a from A mod a until
+    p*A - q*B turns negative, and expands each admissible pair over s in
+    [0, A] and v in [0, B].  That is O(degree_bound^2 / a) pairs plus the
+    output, against O(degree_bound^4) quadruples.  The list is sorted by
+    exponents.
+    """
+    if isinstance(degree_bound, bool) or not isinstance(degree_bound, int) or degree_bound < 0:
         raise ValueError("degree_bound must be a nonnegative integer")
     p, q, k, a = datum.p, datum.q, datum.k, datum.a
     out = []
-    bound = degree_bound
-    for s in range(bound + 1):
-        for u in range(bound + 1 - s):
-            for v in range(bound + 1 - s - u):
-                for w in range(bound + 1 - s - u - v):
-                    rest = -p * s - p * u + q * v + q * w
-                    # k*z = -rest must have a nonnegative integer solution
-                    if rest > 0 or (-rest) % k != 0:
-                        continue
-                    z = (-rest) // k
-                    if s + u + v + w + z > bound:
-                        continue
-                    if (-s - u + v + w) % a != 0:
-                        continue
+    for A in range(degree_bound + 1):
+        for B in range(A % a, p * A // q + 1, a):
+            kz = p * A - q * B
+            if kz % k:
+                continue
+            z = kz // k
+            if A + B + z > degree_bound:
+                continue
+            for s in range(A + 1):
+                u = A - s
+                for v in range(B + 1):
+                    w = B - v
                     tau = p * s + q * u - q * v - p * w
                     out.append(InvariantMonomial((s, u, v, w, z), tau))
     out.sort(key=lambda mono: mono.exponents)
@@ -107,21 +116,27 @@ class WeightIdentityReport:
     failure: Optional[tuple[int, int, int, int, int]]
 
 
-def verify_weight_identity(datum: EHMDatum, degree_bound: int) -> WeightIdentityReport:
-    """Check both closed forms of the grading weight on every invariant monomial.
+def check_weight_identity(
+    datum: EHMDatum, monomials: list[InvariantMonomial]
+) -> WeightIdentityReport:
+    """Check both closed forms of the grading weight on the given monomials.
 
     For exponents (s, u, v, w, z) the weight must equal
     s*p + u*q - v*q - w*p, equal (u + w)*(q - p) + k*z, and be nonnegative.
     """
     p, q, k = datum.p, datum.q, datum.k
-    monos = enumerate_invariant_monomials(datum, degree_bound)
-    for mono in monos:
+    for mono in monomials:
         s, u, v, w, z = mono.exponents
         direct = monomial_weight(datum.grading_action, mono.exponents).gm_weight
         folded = (u + w) * (q - p) + k * z
         if not (mono.grading_weight == direct == folded and direct >= 0):
-            return WeightIdentityReport(False, len(monos), mono.exponents)
-    return WeightIdentityReport(True, len(monos), None)
+            return WeightIdentityReport(False, len(monomials), mono.exponents)
+    return WeightIdentityReport(True, len(monomials), None)
+
+
+def verify_weight_identity(datum: EHMDatum, degree_bound: int) -> WeightIdentityReport:
+    """``check_weight_identity`` on every invariant monomial up to degree_bound."""
+    return check_weight_identity(datum, enumerate_invariant_monomials(datum, degree_bound))
 
 
 @dataclass(frozen=True)
@@ -150,7 +165,10 @@ class SpecialPointReport:
         )
 
 
-def verify_special_point(datum: EHMDatum, degree_bound: int = 10) -> SpecialPointReport:
+def check_special_point(
+    datum: EHMDatum, monomials: list[InvariantMonomial]
+) -> SpecialPointReport:
+    """The special-point checks, with weight zero tested on the given monomials."""
     exponents = (datum.a * datum.q, 0, datum.a * datum.p, 0, 0)
     report = monomial_weight(datum.twisted_action, exponents)
     invariant = report.gm_weight == 0 and report.cyclic_residue == 0
@@ -158,11 +176,15 @@ def verify_special_point(datum: EHMDatum, degree_bound: int = 10) -> SpecialPoin
     monomial = x1 ** exponents[0] * x3 ** exponents[2]
     value = monomial.evaluate(SPECIAL_POINT)
     on_surface = datum.hypersurface.evaluate(SPECIAL_POINT) == 0
-    monos = enumerate_invariant_monomials(datum, degree_bound)
-    avoids_y = all(m.exponents[4] == 0 for m in monos if m.grading_weight == 0)
+    avoids_y = all(m.exponents[4] == 0 for m in monomials if m.grading_weight == 0)
     return SpecialPointReport(
-        on_surface, exponents, invariant, value, avoids_y, len(monos)
+        on_surface, exponents, invariant, value, avoids_y, len(monomials)
     )
+
+
+def verify_special_point(datum: EHMDatum, degree_bound: int = 10) -> SpecialPointReport:
+    """``check_special_point`` on every invariant monomial up to degree_bound."""
+    return check_special_point(datum, enumerate_invariant_monomials(datum, degree_bound))
 
 
 def sl2_substitution() -> dict[str, Polynomial]:

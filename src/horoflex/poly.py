@@ -519,25 +519,33 @@ class NilpotencyCheck:
     variable_orders: tuple[tuple[str, int], ...]
 
 
-def is_locally_nilpotent_bounded(d: Derivation, bound: int) -> NilpotencyCheck:
-    """Search, per variable, for the least k <= bound with d^k(variable) = 0."""
-    if not isinstance(bound, int) or bound < 1:
+def _nilpotent_chains(d: Derivation, bound: int) -> Optional[dict[str, list[Polynomial]]]:
+    """Per closure variable v, the nonzero iterates v, d(v), ..., d^(k-1)(v)
+    for the least k <= bound with d^k(v) = 0; None if some variable has none."""
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
         raise ValueError("bound must be a positive integer")
-    per_var = []
-    worst = 0
+    chains = {}
     for v in d.closure_variables():
         cur = variable(v)
-        k = None
-        for step in range(1, bound + 1):
+        chain = [cur]
+        for _ in range(bound):
             cur = d.apply(cur)
             if cur.is_zero:
-                k = step
                 break
-        if k is None:
-            return NilpotencyCheck(False, None, bound, ())
-        per_var.append((v, k))
-        worst = max(worst, k)
-    return NilpotencyCheck(True, worst, bound, tuple(per_var))
+            chain.append(cur)
+        else:
+            return None
+        chains[v] = chain
+    return chains
+
+
+def is_locally_nilpotent_bounded(d: Derivation, bound: int) -> NilpotencyCheck:
+    """Search, per variable, for the least k <= bound with d^k(variable) = 0."""
+    chains = _nilpotent_chains(d, bound)
+    if chains is None:
+        return NilpotencyCheck(False, None, bound, ())
+    per_var = tuple((v, len(chain)) for v, chain in chains.items())
+    return NilpotencyCheck(True, max((k for _, k in per_var), default=0), bound, per_var)
 
 
 def exp_lnd(d: Derivation, parameter: str, bound: int = 8) -> dict[str, Polynomial]:
@@ -545,29 +553,24 @@ def exp_lnd(d: Derivation, parameter: str, bound: int = 8) -> dict[str, Polynomi
 
     Each variable maps to the finite series sum_k parameter^k d^k(v) / k!; the
     derivation must certify locally nilpotent at the given bound, otherwise
-    this raises.  The parameter must be a fresh variable name.
+    this raises.  The parameter must be a fresh variable name.  The series is
+    summed from the iterates that certify nilpotency, so d is applied
+    sum_v k_v times in all, where d^(k_v)(v) = 0 first.
     """
-    check = is_locally_nilpotent_bounded(d, bound)
-    if not check.certified:
+    chains = _nilpotent_chains(d, bound)
+    if chains is None:
         raise ValueError(
             f"derivation is not certified locally nilpotent within bound {bound}"
         )
-    names = d.closure_variables()
-    if parameter in names:
+    if parameter in chains:
         raise ValueError(f"parameter {parameter!r} collides with a ring variable")
     t = variable(parameter)
     out = {}
-    for v in names:
-        term = variable(v)
-        total = term
+    for v, chain in chains.items():
+        total = chain[0]
         factorial = 1
-        k = 0
-        while not term.is_zero:
-            k += 1
+        for k, term in enumerate(chain[1:], start=1):
             factorial *= k
-            term = d.apply(term)
-            if term.is_zero:
-                break
             total = total + t**k * term * Fraction(1, factorial)
         out[v] = total
     return out

@@ -23,10 +23,10 @@ from .danielewski import (
 )
 from .ehm import (
     build_ehm,
+    check_special_point,
+    check_weight_identity,
     enumerate_invariant_monomials,
     verify_actions_on_hypersurface,
-    verify_special_point,
-    verify_weight_identity,
 )
 from .lattice import RationalCone, as_vector, dot, is_pointed
 from .semigroup import (
@@ -292,10 +292,10 @@ def build_ehm_report(
     p: int, q: int, m: int, degree_bound: int = 8, command: str = "ehm"
 ) -> dict[str, Any]:
     datum = build_ehm(p, q, m)
-    identity = verify_weight_identity(datum, degree_bound)
-    point = verify_special_point(datum, degree_bound)
-    actions = verify_actions_on_hypersurface(datum)
     monomials = enumerate_invariant_monomials(datum, degree_bound)
+    identity = check_weight_identity(datum, monomials)
+    point = check_special_point(datum, monomials)
+    actions = verify_actions_on_hypersurface(datum)
     all_ok = identity.ok and point.all_ok and actions.all_ok
     quotient = actions.sl2_check.modulus_quotient
     return _envelope(

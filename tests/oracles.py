@@ -4,8 +4,9 @@ Everything here recomputes package results along different algorithmic
 routes: cone membership via Fourier-Motzkin projection of the multiplier
 polytope, double description with every zero set recomputed by dot
 products, lattice membership via Smith-style diagonalization, semigroup
-membership via exhaustive descent.  None of the package's cone, lattice,
-or Hilbert-basis machinery is imported.
+membership via exhaustive descent, invariant monomials of the hypersurface
+family by a quadruple loop over the exponents.  None of the package's cone,
+lattice, or Hilbert-basis machinery is imported.
 """
 
 from __future__ import annotations
@@ -313,3 +314,28 @@ class SaturationOracle:
             and self.lattice.contains(v)
             and not self.semigroup.member(v)
         )
+
+
+# ---------------------------------------------------------------------------
+# hypersurface family
+
+
+def brute_force_monomials(datum, bound: int) -> list[tuple[Vec, int]]:
+    """(exponents, grading weight) of every twist-invariant monomial of degree
+    <= bound, sorted, by a quadruple loop; the y-exponent is solved for."""
+    p, q, k, a = datum.p, datum.q, datum.k, datum.a
+    out = []
+    for s in range(bound + 1):
+        for u in range(bound + 1 - s):
+            for v in range(bound + 1 - s - u):
+                for w in range(bound + 1 - s - u - v):
+                    rest = -p * s - p * u + q * v + q * w
+                    if rest > 0 or rest % k:
+                        continue
+                    z = -rest // k
+                    if s + u + v + w + z > bound:
+                        continue
+                    if (-s - u + v + w) % a:
+                        continue
+                    out.append(((s, u, v, w, z), p * s + q * u - q * v - p * w))
+    return sorted(out)

@@ -1,10 +1,15 @@
+import contextlib
+import io
 from fractions import Fraction
 from math import gcd
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
+from horoflex import ehm, reporting
 from horoflex.actions import is_invariant, monomial_weight
+from horoflex.cli import main
 from horoflex.ehm import (
     COORDINATES,
     SPECIAL_POINT,
@@ -17,27 +22,21 @@ from horoflex.ehm import (
     verify_weight_identity,
 )
 from horoflex.poly import parse_polynomial, variable
+from oracles import brute_force_monomials
 
 PARAMS = [(1, 2, 1), (1, 3, 2), (2, 3, 4), (3, 5, 6)]
+# every coprime 0 < p < q <= 7 with twist order m <= 6
+FAMILY = [
+    (p, q, m)
+    for q in range(2, 8)
+    for p in range(1, q)
+    if gcd(p, q) == 1
+    for m in range(1, 7)
+]
 
 
-def brute_force_monomials(datum, bound):
-    """Independent enumeration by quadruple loop; the y-exponent is solved for."""
-    out = set()
-    for s in range(bound + 1):
-        for u in range(bound + 1 - s):
-            for v in range(bound + 1 - s - u):
-                for w in range(bound + 1 - s - u - v):
-                    rest = -datum.p * s - datum.p * u + datum.q * v + datum.q * w
-                    if rest > 0 or rest % datum.k:
-                        continue
-                    z = -rest // datum.k
-                    if s + u + v + w + z > bound:
-                        continue
-                    if (-s - u + v + w) % datum.a:
-                        continue
-                    out.add((s, u, v, w, z))
-    return out
+def listed(monomials):
+    return [(mon.exponents, mon.grading_weight) for mon in monomials]
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +68,12 @@ def test_build_rejects_bad_parameters():
         build_ehm(2, 4, 1)  # slope not reduced
     with pytest.raises(ValueError):
         build_ehm(1, 2, 0)  # order must be positive
+
+
+@pytest.mark.parametrize("args", [(True, 2, 1), (1, True, 1), (1, 2, True)])
+def test_build_rejects_bool_parameters(args):
+    with pytest.raises(ValueError, match="positive integer"):
+        build_ehm(*args)
 
 
 def test_hypersurface_shape():
@@ -112,11 +117,43 @@ def test_enumeration_respects_cyclic_divisibility():
         assert (-s - u + v + w) % 4 == 0
 
 
+@pytest.mark.parametrize("bound", [True, False, -1, 2.0])
+def test_enumeration_rejects_non_integer_bounds(bound):
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        enumerate_invariant_monomials(build_ehm(1, 2, 1), bound)
+
+
 def test_enumeration_matches_brute_force():
-    for p, q, m in PARAMS:
+    # the quadruple loop keeps the order and the grading weights too
+    for p, q, m in FAMILY:
         d = build_ehm(p, q, m)
-        ours = {mon.exponents for mon in enumerate_invariant_monomials(d, 8)}
-        assert ours == brute_force_monomials(d, 8)
+        for bound in range(13):
+            assert listed(enumerate_invariant_monomials(d, bound)) == brute_force_monomials(
+                d, bound
+            ), (p, q, m, bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FAMILY), st.integers(0, 20))
+def test_enumeration_matches_brute_force_random(params, bound):
+    d = build_ehm(*params)
+    assert listed(enumerate_invariant_monomials(d, bound)) == brute_force_monomials(d, bound)
+
+
+def test_ehm_report_enumerates_once(monkeypatch):
+    calls = []
+    original = ehm.enumerate_invariant_monomials
+
+    def counting(datum, degree_bound):
+        calls.append(degree_bound)
+        return original(datum, degree_bound)
+
+    monkeypatch.setattr(ehm, "enumerate_invariant_monomials", counting)
+    monkeypatch.setattr(reporting, "enumerate_invariant_monomials", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["ehm", "--p", "2", "--q", "5", "--m", "3", "--bound", "9"])
+    assert code == 0
+    assert calls == [9]
 
 
 # ---------------------------------------------------------------------------

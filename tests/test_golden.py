@@ -37,6 +37,8 @@ LADDER = {
 }
 # saturate and grading need a pointed cone: on these the CLI exits 1
 NOT_POINTED = {"line"}
+# (p, q, m, degree bound) of ehm reports at the sizes the benchmark runs
+EHM = [(3, 7, 6, 32), (2, 5, 3, 17), (1, 2, 1, 0)]
 
 
 def render(argv: list[str]) -> str:
@@ -53,6 +55,10 @@ def render(argv: list[str]) -> str:
 def golden_cases(directory: Path) -> dict[str, list[str]]:
     """Golden file stem -> CLI arguments; datum files are written to directory."""
     cases = {f"example.{name}": ["examples", "run", name] for name in list_examples()}
+    for p, q, m, bound in EHM:
+        cases[f"ehm-{p}-{q}-{m}.bound-{bound:02d}"] = [
+            "ehm", "--p", str(p), "--q", str(q), "--m", str(m), "--bound", str(bound)
+        ]
     for name, (torus_rank, dominant_rank, gens) in LADDER.items():
         path = directory / f"{name}.json"
         path.write_text(json.dumps({

@@ -222,6 +222,43 @@ def test_exp_lnd_rejects_uncertified():
         exp_lnd(Derivation({"x": Y, "y": constant(0)}), "x")
 
 
+def test_exp_lnd_bound_error_before_collision():
+    # Euler's derivation is never certified, and "x" would also collide
+    with pytest.raises(ValueError, match="not certified"):
+        exp_lnd(Derivation({"x": X}), "x")
+    with pytest.raises(ValueError, match="positive integer"):
+        exp_lnd(Derivation({"x": Y, "y": constant(0)}), "x", 0)
+
+
+@pytest.mark.parametrize("bound", [True, 0, 2.0])
+def test_nilpotency_rejects_non_integer_bounds(bound):
+    d = Derivation({"x": Y, "y": constant(0)})
+    with pytest.raises(ValueError, match="positive integer"):
+        is_locally_nilpotent_bounded(d, bound)
+    with pytest.raises(ValueError, match="positive integer"):
+        exp_lnd(d, "t", bound)
+
+
+def test_exp_lnd_applies_derivation_once_per_iterate(monkeypatch):
+    # d^4(x) = d^2(y) = d(z) = 0 first: the certificate and the series share
+    # those 4 + 2 + 1 applications
+    d = Derivation({"x": Y**2, "y": Z, "z": constant(0)})
+    calls = []
+    original = Derivation.apply
+
+    def counting(self, p):
+        calls.append(p)
+        return original(self, p)
+
+    monkeypatch.setattr(Derivation, "apply", counting)
+    e = exp_lnd(d, "t")
+    assert len(calls) == 7
+    t = variable("t")
+    assert e["x"] == X + t * Y**2 + t**2 * Y * Z + Fraction(1, 3) * t**3 * Z**2
+    assert e["y"] == Y + t * Z
+    assert e["z"] == Z
+
+
 def test_exp_lnd_group_law_frozen():
     d = Derivation({"x": Y**2, "y": Z, "z": constant(0)})
     et = exp_lnd(d, "t")
