@@ -9,7 +9,7 @@ exponents, so invariance checks are decidable term by term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 from .poly import Polynomial
 
@@ -49,19 +49,15 @@ class MonomialWeightReport:
 
 
 def monomial_weight(
-    action: DiagonalTorusAction,
-    exponents: Union[Sequence[int], Mapping[str, int]],
+    action: DiagonalTorusAction, exponents: Sequence[int]
 ) -> MonomialWeightReport:
-    """Total weight and cyclic residue of one monomial under the action."""
-    if isinstance(exponents, Mapping):
-        for v in exponents:
-            if v not in action.variables and exponents[v]:
-                raise ValueError(f"unknown variable {v!r}")
-        exps = tuple(exponents.get(v, 0) for v in action.variables)
-    else:
-        exps = tuple(exponents)
-        if len(exps) != len(action.variables):
-            raise ValueError("exponent tuple length does not match the action")
+    """Total weight and cyclic residue of one monomial under the action.
+
+    ``exponents`` has one entry per variable of the action, in its order.
+    """
+    exps = tuple(exponents)
+    if len(exps) != len(action.variables):
+        raise ValueError("exponent tuple length does not match the action")
     for x in exps:
         if not isinstance(x, int) or x < 0:
             raise ValueError("exponents must be nonnegative integers")

@@ -11,13 +11,11 @@ import argparse
 import json
 import sys
 import time
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
-from .registry import build_example, list_examples
+from .registry import list_examples, run_example
 from .reporting import (
-    SCHEMA_VERSION,
     TOOL_VERSION,
-    DatumSpec,
     build_check_report,
     build_ehm_report,
     build_grading_report,
@@ -26,7 +24,6 @@ from .reporting import (
     enforce_rank_cap,
     parse_spec,
     render_text,
-    verify_check_report,
     _envelope,
 )
 
@@ -61,26 +58,15 @@ def _verdict_code(report: dict[str, Any]) -> int:
     return 0
 
 
-def _with_datum(build: Callable[..., dict[str, Any]], spec: DatumSpec, *args: Any):
-    """The report ``build`` makes of spec, and the datum it was made from."""
-    datum = spec.to_datum()
-    return build(spec, *args, datum=datum), datum
-
-
 def _run(args: argparse.Namespace) -> int:
-    """Build the subcommand's report, audit it if the subcommand asks, print it.
+    """Build the subcommand's report and print it.
 
-    An audited subcommand builds its report together with the datum it was
-    built from (None if it has none), and the audit reads that datum's cone
-    and face lattice.  ``timing_ms`` covers loading the input, building and
-    auditing.
+    The certificate builders audit their reports before returning them, so
+    a report that fails the audit raises here and is never printed.
+    ``timing_ms`` covers loading the input, building and auditing.
     """
     start = time.perf_counter()
-    if args.audit:
-        report, datum = args.build(args)
-        verify_check_report(report, datum)
-    else:
-        report = args.build(args)
+    report = args.build(args)
     _emit(report, args.format, (time.perf_counter() - start) * 1000)
     return _verdict_code(report)
 
@@ -105,28 +91,23 @@ def build_parser() -> _Parser:
     p = sub.add_parser("check", help="full verdict with per-orbit grading witnesses")
     p.add_argument("file", help="JSON datum file")
     _add_format(p)
-    p.set_defaults(
-        build=lambda a: _with_datum(build_check_report, _load_spec(a.file)), audit=True
-    )
+    p.set_defaults(build=lambda a: build_check_report(_load_spec(a.file)))
 
     p = sub.add_parser("saturate", help="close the semigroup inside its cone")
     p.add_argument("file", help="JSON datum file")
     _add_format(p)
-    p.set_defaults(build=lambda a: build_saturate_report(_load_spec(a.file)), audit=False)
+    p.set_defaults(build=lambda a: build_saturate_report(_load_spec(a.file)))
 
     p = sub.add_parser("orbits", help="face lattice with off-face generators")
     p.add_argument("file", help="JSON datum file")
     _add_format(p)
-    p.set_defaults(build=lambda a: build_orbits_report(_load_spec(a.file)), audit=False)
+    p.set_defaults(build=lambda a: build_orbits_report(_load_spec(a.file)))
 
     p = sub.add_parser("grading", help="grading witness for one face")
     p.add_argument("file", help="JSON datum file")
     p.add_argument("--face", type=int, required=True, help="face index")
     _add_format(p)
-    p.set_defaults(
-        build=lambda a: _with_datum(build_grading_report, _load_spec(a.file), a.face),
-        audit=True,
-    )
+    p.set_defaults(build=lambda a: build_grading_report(_load_spec(a.file), a.face))
 
     p = sub.add_parser("ehm", help="hypersurface family identity checks")
     p.add_argument("--p", type=int, required=True)
@@ -134,20 +115,19 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--bound", type=int, default=8, help="monomial degree bound")
     _add_format(p)
-    p.set_defaults(build=lambda a: build_ehm_report(a.p, a.q, a.m, a.bound), audit=False)
+    p.set_defaults(build=lambda a: build_ehm_report(a.p, a.q, a.m, a.bound))
 
     p = sub.add_parser("examples", help="bundled example suite")
     esub = p.add_subparsers(dest="examples_command", required=True)
     e = esub.add_parser("list", help="list example names")
     _add_format(e)
     e.set_defaults(
-        build=lambda a: _envelope("examples list", {"examples": list_examples()}),
-        audit=False,
+        build=lambda a: _envelope("examples list", {"examples": list_examples()})
     )
     e = esub.add_parser("run", help="run one example")
     e.add_argument("name")
     _add_format(e)
-    e.set_defaults(build=lambda a: build_example(a.name), audit=True)
+    e.set_defaults(build=lambda a: run_example(a.name))
 
     return parser
 

@@ -1,16 +1,17 @@
 """Datum files, certificate reports, and report re-verification.
 
-The JSON surface lives here: parsing of datum files (strict, unknown fields
-rejected), builders for every report the command line emits, and the
-re-verification pass that checks a report against its own input before
-anything is printed.
+The JSON surface lives here: parsing of datum files (strict, unknown and
+duplicate fields rejected), builders for every report the command line
+emits, and the re-verification pass that checks a report against its own
+input.  The certificate builders (``check``, ``grading``) run that pass
+before they return, so no caller receives an unaudited certificate.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .danielewski import (
@@ -67,14 +68,23 @@ class CorruptReportError(RuntimeError):
 class DatumSpec:
     """A datum file as written: generator order and label preserved.
 
-    The canonical (sorted, deduplicated) form lives in HorosphericalDatum;
-    keeping the original order here makes serialization lossless.
+    Construction validates the ranks and generators by building their
+    canonical (sorted, deduplicated) HorosphericalDatum, and keeps it as
+    ``datum``: every report made from one spec reads that datum's cone and
+    face lattice, computed on first use.  Invalid data raises ValueError.
+    ``datum`` takes no part in equality; keeping the original order here
+    makes serialization lossless.
     """
 
     torus_rank: int
     dominant_rank: int
     generators: tuple[tuple[int, ...], ...]
     label: Optional[str] = None
+    datum: HorosphericalDatum = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        datum = HorosphericalDatum(self.torus_rank, self.dominant_rank, self.generators)
+        object.__setattr__(self, "datum", datum)
 
     def to_payload(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -86,9 +96,6 @@ class DatumSpec:
             out["label"] = self.label
         return out
 
-    def to_datum(self) -> HorosphericalDatum:
-        return HorosphericalDatum(self.torus_rank, self.dominant_rank, self.generators)
-
     def dumps(self) -> str:
         return json.dumps(self.to_payload(), sort_keys=True, indent=2)
 
@@ -99,14 +106,23 @@ def _require_int(value: Any, what: str) -> int:
     return value
 
 
+def _reject_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    data: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in data:
+            raise SpecError(f"duplicate field {key!r}")
+        data[key] = value
+    return data
+
+
 def parse_spec(text: str) -> DatumSpec:
-    """Strict parse of a datum file; unknown fields are rejected.
+    """Strict parse of a datum file; unknown and repeated fields are rejected.
 
     JSON syntax errors carry line and column; semantic errors name the
     offending field or generator index.
     """
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise SpecError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -137,12 +153,10 @@ def _spec_from_payload(data: Any) -> DatumSpec:
     label = data.get("label")
     if label is not None and not isinstance(label, str):
         raise SpecError("label must be a string")
-    spec = DatumSpec(torus_rank, dominant_rank, tuple(gens), label)
     try:
-        spec.to_datum()
+        return DatumSpec(torus_rank, dominant_rank, tuple(gens), label)
     except ValueError as exc:
         raise SpecError(str(exc)) from None
-    return spec
 
 
 def max_ambient_rank() -> int:
@@ -193,16 +207,16 @@ def _witness_payload(index: int, witness: GradingWitness, cone: RationalCone) ->
     }
 
 
-def build_check_report(
-    spec: DatumSpec, command: str = "check", datum: Optional[HorosphericalDatum] = None
-) -> dict[str, Any]:
-    """The verdict report of spec; ``datum``, if given, is ``spec.to_datum()``."""
-    if datum is None:
-        datum = spec.to_datum()
+def build_check_report(spec: DatumSpec) -> dict[str, Any]:
+    """The verdict report of spec, audited against ``spec.datum``.
+
+    Raises CorruptReportError if the audit rejects it.
+    """
+    datum = spec.datum
     verdict = flexibility_verdict(datum)
     gap = None if verdict.saturation_gap is None else list(verdict.saturation_gap)
-    return _envelope(
-        command,
+    report = _envelope(
+        "check",
         {
             "input": spec.to_payload(),
             "canonical_generators": [list(g) for g in datum.generators],
@@ -213,30 +227,32 @@ def build_check_report(
             ],
         },
     )
+    verify_check_report(report, datum)
+    return report
 
 
-def build_saturate_report(spec: DatumSpec, command: str = "saturate") -> dict[str, Any]:
-    datum = spec.to_datum()
+def build_saturate_report(spec: DatumSpec) -> dict[str, Any]:
+    datum = spec.datum
     if units_exist(datum):
         raise SpecError(
             "the weight cone contains a line; saturation is undefined here"
         )
     closed = saturate(datum)
-    out_spec = DatumSpec(
-        spec.torus_rank, spec.dominant_rank, closed.generators, spec.label
-    )
     return _envelope(
-        command,
+        "saturate",
         {
             "input": spec.to_payload(),
             "already_saturated": closed.generators == datum.generators,
-            "saturated_datum": out_spec.to_payload(),
+            "saturated_datum": {
+                **spec.to_payload(),
+                "generators": [list(g) for g in closed.generators],
+            },
         },
     )
 
 
-def build_orbits_report(spec: DatumSpec, command: str = "orbits") -> dict[str, Any]:
-    datum = spec.to_datum()
+def build_orbits_report(spec: DatumSpec) -> dict[str, Any]:
+    datum = spec.datum
     faces = orbit_faces(datum)
     table = []
     for i, f in enumerate(faces):
@@ -252,7 +268,7 @@ def build_orbits_report(spec: DatumSpec, command: str = "orbits") -> dict[str, A
             }
         )
     return _envelope(
-        command,
+        "orbits",
         {
             "input": spec.to_payload(),
             "canonical_generators": [list(g) for g in datum.generators],
@@ -262,23 +278,20 @@ def build_orbits_report(spec: DatumSpec, command: str = "orbits") -> dict[str, A
     )
 
 
-def build_grading_report(
-    spec: DatumSpec,
-    face_index: int,
-    command: str = "grading",
-    datum: Optional[HorosphericalDatum] = None,
-) -> dict[str, Any]:
-    """The witness report of one face; ``datum``, if given, is ``spec.to_datum()``."""
-    if datum is None:
-        datum = spec.to_datum()
+def build_grading_report(spec: DatumSpec, face_index: int) -> dict[str, Any]:
+    """The witness report of one face, audited against ``spec.datum``.
+
+    Raises CorruptReportError if the audit rejects it.
+    """
+    datum = spec.datum
     faces = datum.faces
     if not 0 <= face_index < len(faces):
         raise SpecError(
             f"face index {face_index} out of range 0..{len(faces) - 1}"
         )
     witness = grading_for_face(datum, faces[face_index])
-    return _envelope(
-        command,
+    report = _envelope(
+        "grading",
         {
             "input": spec.to_payload(),
             "canonical_generators": [list(g) for g in datum.generators],
@@ -286,11 +299,11 @@ def build_grading_report(
             "witness": _witness_payload(face_index, witness, datum.cone),
         },
     )
+    verify_check_report(report, datum)
+    return report
 
 
-def build_ehm_report(
-    p: int, q: int, m: int, degree_bound: int = 8, command: str = "ehm"
-) -> dict[str, Any]:
+def build_ehm_report(p: int, q: int, m: int, degree_bound: int = 8) -> dict[str, Any]:
     datum = build_ehm(p, q, m)
     monomials = enumerate_invariant_monomials(datum, degree_bound)
     identity = check_weight_identity(datum, monomials)
@@ -299,7 +312,7 @@ def build_ehm_report(
     all_ok = identity.ok and point.all_ok and actions.all_ok
     quotient = actions.sl2_check.modulus_quotient
     return _envelope(
-        command,
+        "ehm",
         {
             "parameters": {"p": p, "q": q, "m": m, "degree_bound": degree_bound},
             "derived": {
@@ -348,14 +361,14 @@ def build_ehm_report(
     )
 
 
-def build_danielewski_report(command: str = "examples run danielewski") -> dict[str, Any]:
+def build_danielewski_report() -> dict[str, Any]:
     surface = preserves_surface()
     specialization = unit_specialization_exact()
     law = composition_law()
     action = action_substitution()
     all_ok = surface.preserved and specialization and law.ok
     return _envelope(
-        command,
+        "examples run danielewski",
         {
             "name": "danielewski",
             "surface": str(surface_equation()),
@@ -468,18 +481,18 @@ def verify_check_report(
 ) -> None:
     """Re-derive every witness invariant from the report's own input.
 
-    The input is parsed again.  The command line passes the ``datum`` the
-    report was built from: the parsed input must then have its ranks and
-    generators, and the audit reads that datum's cone and face lattice
-    instead of building them again.  Without it (a report from elsewhere)
-    the parsed input's cone and face lattice are built, once.  The
+    The input is parsed again.  The certificate builders pass the
+    ``spec.datum`` the report was built from: the parsed input must then
+    have its ranks and generators, and the audit reads that datum's cone and
+    face lattice instead of building them again.  Without it (a report from
+    elsewhere) the parsed input's cone and face lattice are built, once.  The
     canonical generators must be the sorted, deduplicated input generators,
     the status must be ``NotCovered_UnitsExist`` exactly when the cone has
     a line, a certified ``check`` report must list face i at position i for
     every face, a ``grading`` report's ``face_count`` must be the number of
     faces, and the gap and every witness are checked against that cone.
-    Raises CorruptReportError listing every inconsistency; called on every
-    certificate-bearing report before emission.
+    Raises CorruptReportError listing every inconsistency; the ``check``
+    and ``grading`` builders call it on every report they make.
     """
     problems = []
     if report.get("schema") != SCHEMA_VERSION:
@@ -508,7 +521,7 @@ def verify_check_report(
         witnesses = [*witnesses, report["witness"]]
     if "verdict" in report or "witness" in report:
         try:
-            parsed = _spec_from_payload(report.get("input")).to_datum()
+            parsed = _spec_from_payload(report.get("input")).datum
         except SpecError as exc:
             problems.append(f"report input is malformed: {exc}")
         else:

@@ -52,10 +52,9 @@ class HorosphericalDatum:
     generators: tuple[Vec, ...]
 
     def __init__(self, torus_rank: int, dominant_rank: int, generators: Sequence[Sequence[int]]):
-        if not isinstance(torus_rank, int) or torus_rank < 0:
-            raise ValueError("torus_rank must be a nonnegative integer")
-        if not isinstance(dominant_rank, int) or dominant_rank < 0:
-            raise ValueError("dominant_rank must be a nonnegative integer")
+        for name, value in (("torus_rank", torus_rank), ("dominant_rank", dominant_rank)):
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"{name} must be a nonnegative integer")
         rank = torus_rank + dominant_rank
         if rank == 0:
             raise ValueError("ambient rank must be positive")

@@ -28,10 +28,14 @@ def test_cyclic_weights_normalized():
 
 
 def test_monomial_weight_tuple_and_mapping():
+    # exponents are tuples in the action's variable order; mappings are refused
     report = monomial_weight(SCALE, (2, 1))
     assert report.gm_weight == 1
-    assert monomial_weight(SCALE, {"x": 2, "y": 1}).gm_weight == 1
     assert monomial_weight(CYCLIC, (1, 1)).cyclic_residue == 3
+    with pytest.raises(ValueError):
+        monomial_weight(SCALE, (2,))
+    with pytest.raises(ValueError):
+        monomial_weight(SCALE, {"x": 2, "y": 1})
     with pytest.raises(ValueError):
         monomial_weight(SCALE, {"w": 1})
 

@@ -1,9 +1,11 @@
 import copy
+import dataclasses
 import json
 
 import pytest
 
 from horoflex.cli import main
+from horoflex.registry import run_example
 from horoflex.reporting import (
     CorruptReportError,
     DatumSpec,
@@ -14,6 +16,7 @@ from horoflex.reporting import (
     parse_spec,
     verify_check_report,
 )
+from horoflex.semigroup import HorosphericalDatum
 
 CUSP_TEXT = '{"torus_rank": 1, "dominant_rank": 0, "generators": [[2], [3]]}'
 VERONESE_TEXT = '{"torus_rank": 2, "dominant_rank": 0, "generators": [[1, 0], [1, 1], [1, 2]]}'
@@ -53,6 +56,26 @@ def test_parse_spec_roundtrip():
 def test_parse_spec_preserves_generator_order():
     spec = parse_spec('{"torus_rank": 1, "dominant_rank": 0, "generators": [[3], [2]]}')
     assert spec.generators == ((3,), (2,))
+
+
+@pytest.mark.parametrize("ranks", [(True, 0), (1, False)])
+def test_datum_spec_rejects_bool_ranks(ranks):
+    with pytest.raises(ValueError, match="must be a nonnegative integer"):
+        DatumSpec(*ranks, ((1,),))
+    with pytest.raises(ValueError, match="must be a nonnegative integer"):
+        HorosphericalDatum(*ranks, [(1,)])
+
+
+def test_parse_spec_rejects_duplicate_keys(tmp_path, capsys):
+    text = '{"torus_rank": 1, "torus_rank": 2, "dominant_rank": 0, "generators": [[1, 0]]}'
+    with pytest.raises(SpecError, match="duplicate field 'torus_rank'"):
+        parse_spec(text)
+    path = tmp_path / "twice.json"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: duplicate field 'torus_rank'")
 
 
 def test_parse_spec_unknown_field():
@@ -378,11 +401,10 @@ def test_verify_rejects_malformed_verdict(verdict, reason):
 )
 def test_verify_rejects_datum_other_than_input(other):
     spec = parse_spec(VERONESE_TEXT)
-    datum = spec.to_datum()
-    for report in (build_check_report(spec, datum=datum), build_grading_report(spec, 1)):
-        verify_check_report(report, datum)
+    for report in (build_check_report(spec), build_grading_report(spec, 1)):
+        verify_check_report(report, spec.datum)
         with pytest.raises(CorruptReportError, match="not the datum it was built from"):
-            verify_check_report(report, other.to_datum())
+            verify_check_report(report, other.datum)
 
 
 QUAD_SPEC = DatumSpec(2, 1, ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)))
@@ -458,15 +480,43 @@ def test_verify_rejects_malformed_entries(path, value):
         verify_check_report(bad)
 
 
-def test_corrupted_report_aborts_cli(veronese_file, capsys, monkeypatch):
-    import horoflex.cli as cli_module
+def _corrupt_witness_degrees(monkeypatch):
+    """Make every grading witness the builders compute store degree 9."""
+    import horoflex.reporting as reporting_module
+    import horoflex.semigroup as semigroup_module
 
-    genuine = build_check_report(parse_spec(VERONESE_TEXT))
-    corrupted = copy.deepcopy(genuine)
-    corrupted["witnesses"][2]["generator_degrees"] = [9, 9, 9]
-    monkeypatch.setattr(cli_module, "build_check_report", lambda spec, datum: corrupted)
+    original = semigroup_module.grading_for_face
+
+    def corrupted(datum, face):
+        witness = original(datum, face)
+        return dataclasses.replace(
+            witness, generator_weights=(9,) * len(witness.generator_weights)
+        )
+
+    monkeypatch.setattr(semigroup_module, "grading_for_face", corrupted)
+    monkeypatch.setattr(reporting_module, "grading_for_face", corrupted)
+
+
+def test_corrupted_report_aborts_cli(veronese_file, capsys, monkeypatch):
+    _corrupt_witness_degrees(monkeypatch)
     code = main(["check", veronese_file])
     assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "stored degree 9" in captured.err
+
+
+def test_builders_audit_their_own_reports(capsys, monkeypatch):
+    _corrupt_witness_degrees(monkeypatch)
+    spec = parse_spec(VERONESE_TEXT)
+    for build in (
+        lambda: build_check_report(spec),
+        lambda: build_grading_report(spec, 1),
+        lambda: run_example("veronese"),
+    ):
+        with pytest.raises(CorruptReportError, match="stored degree 9"):
+            build()
+    assert main(["examples", "run", "veronese"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "stored degree 9" in captured.err
