@@ -86,11 +86,8 @@ def primitive(u: Sequence[int]) -> Vec:
 
 def fraction_primitive(u: Sequence[Fraction]) -> Vec:
     """Scale a rational vector to a primitive integer vector, keeping direction."""
-    lcm = 1
-    for a in u:
-        d = Fraction(a).denominator
-        lcm = lcm * d // gcd(lcm, d)
-    return primitive(tuple(int(a * lcm) for a in u))
+    scale = lcm(*(a.denominator for a in u))
+    return primitive(tuple(int(a * scale) for a in u))
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +237,8 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> list[Vec]:
             top += 1
             if top == len(mat):
                 break
-    return [tuple(r) for r in mat[:top] if not is_zero_vec(r)] + [
-        tuple(r) for r in mat[top:] if not is_zero_vec(r)
-    ]
+    # every row below the last pivot has been reduced to zero
+    return [tuple(r) for r in mat[:top]]
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +247,11 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> list[Vec]:
 
 @dataclass(frozen=True)
 class LatticeSubgroup:
-    """Subgroup of Z^n given by a canonical (Hermite) basis."""
+    """Subgroup of Z^n given by a canonical (Hermite) basis.
+
+    ``contains`` reduces a vector against the basis rows at their pivots;
+    ``member_vector`` maps integer coefficients in the basis back to Z^n.
+    """
 
     ambient_rank: int
     basis: tuple[Vec, ...]
@@ -261,30 +261,15 @@ class LatticeSubgroup:
         return len(self.basis)
 
     def contains(self, v: Sequence[int]) -> bool:
-        return self.integer_coordinates(v) is not None
-
-    def integer_coordinates(self, v: Sequence[int]) -> Optional[Vec]:
-        """Coefficients of v in the Hermite basis, or None if v is outside."""
-        vec = list(as_vector(v, self.ambient_rank))
-        pivot_col = {next(j for j, a in enumerate(row) if a != 0): i
-                     for i, row in enumerate(self.basis)}
-        coeffs = [0] * len(self.basis)
-        for col in range(self.ambient_rank):
-            if col in pivot_col:
-                i = pivot_col[col]
-                pivot = self.basis[i][col]
-                if vec[col] % pivot != 0:
-                    return None
-                c = vec[col] // pivot
-                coeffs[i] = c
-                vec = [a - c * b for a, b in zip(vec, self.basis[i])]
-            elif vec[col] != 0:
-                return None
-        return tuple(coeffs)
-
-    def rational_coordinates(self, v: Sequence[int]) -> Optional[tuple[Fraction, ...]]:
-        """Coefficients of v in the basis over Q, or None if v is off the span."""
-        return solve_left(self.basis, as_vector(v, self.ambient_rank))
+        """Hermite reduction: clear each pivot with its basis row, then test for zero."""
+        vec = as_vector(v, self.ambient_rank)
+        for row in self.basis:
+            col = next(j for j, a in enumerate(row) if a)
+            q, rem = divmod(vec[col], row[col])
+            if rem:
+                return False
+            vec = vsub(vec, vscale(q, row))
+        return is_zero_vec(vec)
 
     def member_vector(self, coeffs: Sequence[int]) -> Vec:
         out = (0,) * self.ambient_rank
@@ -557,18 +542,19 @@ def face_lattice(c: RationalCone) -> list[FaceDescriptor]:
 def hilbert_basis(c: RationalCone, subgroup: Optional[LatticeSubgroup] = None) -> list[Vec]:
     """Minimal generating set of the monoid ``c ∩ subgroup`` (c pointed).
 
-    Ray coordinates in the subgroup are first rewritten in a basis of the
-    saturated lattice of their span, so the cone is full-dimensional in
-    ``Z^d``.  Each linearly independent ``d``-subset S of rays contributes
-    its rays and one point of each of the |det S| cosets of ``Z^d / Z<S>``,
-    taken in the half-open parallelepiped of S (Bruns & Ichim, J. Algebra
-    324, 2010).  That covers the Hilbert basis: by conic Caratheodory an
-    irreducible point lies in some such simplicial cone, and unless it is a
-    ray of S its coefficients there are all below 1.  Candidates are reduced
-    in order of a positive degree, against the irreducible ones found so
-    far; the irreducible ones form the unique minimal generating set.  The
-    cone's own facet normals, read in the coordinates of ``Z^d``, test
-    membership, so no second double description is run.
+    Everything is read in one frame, a basis of ``subgroup ∩ span(c)``: the
+    subgroup points on which every equality normal of c vanishes.  In it the
+    cone is full-dimensional in ``Z^d``; each ray is its primitive
+    coordinate vector there, and each facet normal f of c reads as the
+    functional ``(b.f for b in frame)``.  Each linearly independent
+    ``d``-subset S of rays contributes its rays and one point of each of the
+    |det S| cosets of ``Z^d / Z<S>``, taken in the half-open parallelepiped
+    of S (Bruns & Ichim, J. Algebra 324, 2010).  That covers the Hilbert
+    basis: by conic Caratheodory an irreducible point lies in some such
+    simplicial cone, and unless it is a ray of S its coefficients there are
+    all below 1.  Candidates are reduced in order of a positive degree,
+    against the irreducible ones found so far; the irreducible ones form the
+    unique minimal generating set, mapped back to Z^n through the frame.
     """
     if not is_pointed(c):
         raise NonPointedError("non-pointed: Hilbert basis undefined here")
@@ -579,19 +565,18 @@ def hilbert_basis(c: RationalCone, subgroup: Optional[LatticeSubgroup] = None) -
         raise DimensionMismatchError("subgroup and cone have different ambient ranks")
     if not c.rays:
         return []
+    eq_rows = [tuple(dot(b, e) for b in subgroup.basis) for e in c._eq_normals]
+    frame = [subgroup.member_vector(k) for k in integer_kernel_basis(eq_rows, subgroup.rank)]
+    d = len(frame)
     coords: set[Vec] = set()
     for r in c.rays:
-        x = subgroup.rational_coordinates(r)
+        x = solve_left(frame, r)
         if x is None:
             raise DimensionMismatchError(
                 "subgroup does not have full rank inside the span of the cone"
             )
         coords.add(fraction_primitive(x))
-    span = _saturated_span(sorted(coords), subgroup.rank)
-    d = span.rank
-    rays = sorted(span.integer_coordinates(v) for v in coords)
-    # h in Z^d is x = hB in Z^n, so a facet normal f of c reads Bf on h
-    frame = [subgroup.member_vector(b) for b in span.basis]
+    rays = sorted(coords)
     normals = [primitive([dot(b, f) for b in frame]) for f in c._ineq_normals]
     degree = [sum(col) for col in zip(*normals)]
     candidates = set(rays)
@@ -603,12 +588,9 @@ def hilbert_basis(c: RationalCone, subgroup: Optional[LatticeSubgroup] = None) -
         # h - b has lower degree than h, so it is zero only when b == h
         if not any(all(dot(f, vsub(h, b)) >= 0 for f in normals) for b in basis):
             basis.append(h)
-    return sorted(subgroup.member_vector(span.member_vector(h)) for h in basis)
-
-
-def _saturated_span(vecs: Sequence[Vec], n: int) -> LatticeSubgroup:
-    """``span_Q(vecs) ∩ Z^n``, the kernel of the kernel of vecs."""
-    return LatticeSubgroup(n, tuple(integer_kernel_basis(integer_kernel_basis(vecs, n), n)))
+    return sorted(
+        tuple(sum(a * b[j] for a, b in zip(h, frame)) for j in range(n)) for h in basis
+    )
 
 
 def _parallelepiped_points(gens: Sequence[Vec]) -> list[Vec]:

@@ -395,6 +395,17 @@ def build_danielewski_report() -> dict[str, Any]:
 # re-verification
 
 
+def _exact(value: Any, expected: Any) -> bool:
+    """``value == expected`` with lists compared entrywise and types kept apart.
+
+    JSON ``true`` loads as a Python ``True``, which equals 1; an audited
+    integer field must not accept it.
+    """
+    if isinstance(value, list) and isinstance(expected, list):
+        return len(value) == len(expected) and all(map(_exact, value, expected))
+    return type(value) is type(expected) and value == expected
+
+
 def _verify_witnesses(datum: HorosphericalDatum, witnesses: Any) -> list[str]:
     """Problems with grading witnesses, checked against the cone of the input.
 
@@ -431,7 +442,7 @@ def _verify_witnesses(datum: HorosphericalDatum, witnesses: Any) -> list[str]:
         else:
             if face_rays != [rays[j] for j in faces[idx].span_rays]:
                 problems.append(f"witness {idx}: face rays are not those of face {idx}")
-            if entry.get("dimension") != faces[idx].dim:
+            if not _exact(entry.get("dimension"), faces[idx].dim):
                 problems.append(f"witness {idx}: dimension is not that of face {idx}")
         face = set(face_rays)
         for r in sorted(face.difference(rays)):
@@ -495,7 +506,7 @@ def verify_check_report(
     and ``grading`` builders call it on every report they make.
     """
     problems = []
-    if report.get("schema") != SCHEMA_VERSION:
+    if not _exact(report.get("schema"), SCHEMA_VERSION):
         problems.append("unknown schema version")
     known = [s.value for s in FlexStatus]  # a list: a tampered status may not hash
     status = gap = None
@@ -530,7 +541,7 @@ def verify_check_report(
             elif datum != parsed:  # dataclass equality: ranks and sorted generators
                 problems.append("report input is not the datum it was built from")
                 datum = parsed
-            if report.get("canonical_generators") != [list(g) for g in datum.generators]:
+            if not _exact(report.get("canonical_generators"), [list(g) for g in datum.generators]):
                 problems.append("canonical generators are not the sorted input generators")
             if status in known:
                 units = status == FlexStatus.NOT_COVERED_UNITS_EXIST.value
@@ -547,7 +558,7 @@ def verify_check_report(
                     problems.append(
                         f"witnesses do not list the cone's {len(datum.faces)} faces in order"
                     )
-            if "witness" in report and report.get("face_count") != len(datum.faces):
+            if "witness" in report and not _exact(report.get("face_count"), len(datum.faces)):
                 problems.append(f"face_count is not the cone's {len(datum.faces)} faces")
             problems.extend(_verify_witnesses(datum, witnesses))
     if problems:

@@ -480,6 +480,48 @@ def test_verify_rejects_malformed_entries(path, value):
         verify_check_report(bad)
 
 
+def _schema_true(report):
+    report["schema"] = True
+
+
+def _canonical_generators_true(report):
+    report["canonical_generators"] = [[True]]
+
+
+def _dimension_true(report):
+    assert report["witnesses"][1]["dimension"] == 1
+    report["witnesses"][1]["dimension"] = True
+
+
+def _face_count_true(report):
+    assert report["face_count"] == 1
+    report["face_count"] = True
+
+
+@pytest.mark.parametrize(
+    "build, tamper, reason",
+    [
+        (lambda: build_check_report(DatumSpec(1, 0, ((1,),))), _schema_true,
+         "unknown schema version"),
+        (lambda: build_check_report(DatumSpec(1, 0, ((1,),))), _canonical_generators_true,
+         "canonical generators"),
+        (lambda: build_check_report(DatumSpec(1, 0, ((1,),))), _dimension_true,
+         "dimension is not that of face 1"),
+        (lambda: build_grading_report(DatumSpec(1, 0, ((0,),)), 0), _face_count_true,
+         "face_count is not the cone's 1 faces"),
+    ],
+    ids=["schema", "canonical_generators", "dimension", "face_count"],
+)
+def test_verify_rejects_json_booleans(build, tamper, reason):
+    # JSON true loads as True, and True == 1 in Python
+    report = build()
+    verify_check_report(report)
+    bad = json.loads(json.dumps(report))
+    tamper(bad)
+    with pytest.raises(CorruptReportError, match=reason):
+        verify_check_report(bad)
+
+
 def _corrupt_witness_degrees(monkeypatch):
     """Make every grading witness the builders compute store degree 9."""
     import horoflex.reporting as reporting_module

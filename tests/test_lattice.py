@@ -124,13 +124,39 @@ def test_lattice_subgroup_membership():
     assert group_generated([(2,), (3,)]).contains((1,))
 
 
-def test_lattice_coordinates_roundtrip():
-    sub = group_generated([(1, 2), (0, 3)])
-    for v in [(1, 2), (0, 3), (2, 1), (5, 0)]:
-        coords = sub.integer_coordinates(v)
-        if coords is not None:
-            assert sub.member_vector(coords) == v
-            assert sub.contains(v)
+@st.composite
+def subgroup_queries(draw):
+    """Generators in Z^n (n <= 5), some dependent or zero, and query points.
+
+    The points are an integer combination of the generators, that
+    combination moved by a unit vector, and a free point.
+    """
+    n = draw(st.integers(1, 5))
+    vec = st.lists(st.integers(-4, 4), min_size=n, max_size=n).map(tuple)
+    gens = draw(st.lists(vec, min_size=1, max_size=4))
+
+    def combination():
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)))
+        return tuple(sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(n))
+
+    if draw(st.booleans()):
+        gens.append(combination())
+    if draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), (0,) * n)
+    member = combination()
+    unit = draw(st.integers(0, n - 1))
+    moved = tuple(a + (j == unit) for j, a in enumerate(member))
+    return gens, member, [member, moved, draw(vec)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(subgroup_queries())
+def test_subgroup_membership_matches_smith_oracle(case):
+    gens, member, points = case
+    sub, oracle = group_generated(gens), LatticeOracle(gens, len(gens[0]))
+    assert sub.contains(member)
+    for v in points:
+        assert sub.contains(v) == oracle.contains(v)
 
 
 @st.composite
@@ -340,12 +366,16 @@ def hilbert_cases(draw):
     ``n - d`` rows.  ``kind`` picks the case: ``simplicial`` (d = n and n
     independent generators), ``general`` (more generators than the rank),
     ``flat`` (d < n, so the cone spans a proper subspace of Z^n; the default
-    subgroup) and ``sublattice`` (the subgroup the generators generate,
-    often of index > 1).  Returns (generators, subgroup or None, d, A).
+    subgroup), ``sublattice`` (the subgroup the generators generate, often
+    of index > 1) and ``flat-sublattice`` (d < n inside the subgroup
+    generated by the generators and ``2 e_i`` for some i >= d, of rank > d
+    and often not saturated).  Returns (generators, subgroup generators or
+    None, d, A).
     """
     n = draw(st.integers(2, 4))
-    kind = draw(st.sampled_from(["simplicial", "general", "flat", "sublattice"]))
-    d = draw(st.integers(1, n - 1)) if kind == "flat" else n
+    kinds = ["simplicial", "general", "flat", "sublattice", "flat-sublattice"]
+    kind = draw(st.sampled_from(kinds))
+    d = draw(st.integers(1, n - 1)) if kind.startswith("flat") else n
     count = d if kind == "simplicial" else draw(st.integers(d, d + 1))
     top = 1 if d == 4 else 2
     points = [
@@ -356,8 +386,13 @@ def hilbert_cases(draw):
         points = [tuple(int(i == j) for j in range(d - 1)) + (1,) for i in range(d)]
     extra = [[draw(st.integers(-3, 3)) for _ in range(d)] for _ in range(n - d)]
     gens = [u + tuple(dot(a, u) for a in extra) for u in points]
-    subgroup = group_generated(gens) if kind == "sublattice" else None
-    return gens, subgroup, d, extra
+    if kind == "sublattice":
+        return gens, gens, d, extra
+    if kind == "flat-sublattice":
+        doubled = {n - 1, *draw(st.lists(st.integers(d, n - 1), max_size=2))}
+        doubles = [tuple(2 * (j == i) for j in range(n)) for i in sorted(doubled)]
+        return gens, gens + doubles, d, extra
+    return gens, None, d, extra
 
 
 def irreducible_points(gens, subgroup_gens, d, extra):
@@ -397,9 +432,22 @@ def irreducible_points(gens, subgroup_gens, d, extra):
 @settings(max_examples=80, deadline=None)
 @given(hilbert_cases())
 def test_hilbert_basis_matches_brute_force(case):
-    gens, subgroup, d, extra = case
+    gens, subgroup_gens, d, extra = case
+    subgroup = group_generated(subgroup_gens) if subgroup_gens else None
     basis = hilbert_basis(RationalCone(gens, len(gens[0])), subgroup)
-    assert basis == irreducible_points(gens, gens if subgroup else None, d, extra)
+    assert basis == irreducible_points(gens, subgroup_gens, d, extra)
+
+
+def test_hilbert_basis_subgroup_missing_the_span_raises():
+    c = RationalCone([(1, 0), (0, 1)], 2)
+    with pytest.raises(DimensionMismatchError, match="full rank inside the span"):
+        hilbert_basis(c, group_generated([(1, 0)]))
+
+
+def test_hilbert_basis_subgroup_of_other_rank_raises():
+    c = RationalCone([(1, 0), (0, 1)], 2)
+    with pytest.raises(DimensionMismatchError, match="different ambient ranks"):
+        hilbert_basis(c, group_generated([(1, 0, 0)]))
 
 
 def test_hilbert_basis_of_planes_in_z3():
