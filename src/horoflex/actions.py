@@ -83,11 +83,7 @@ def _term_data(action: DiagonalTorusAction, p: Polynomial):
 
 def is_invariant(action: DiagonalTorusAction, p: Polynomial) -> bool:
     """True when every term has weight zero and cyclic residue zero."""
-    for exps in _term_data(action, p):
-        report = monomial_weight(action, exps)
-        if report.gm_weight != 0 or report.cyclic_residue != 0:
-            return False
-    return True
+    return p.is_zero or semi_invariant_weight(action, p) == (0, 0)
 
 
 def semi_invariant_weight(

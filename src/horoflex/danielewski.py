@@ -99,10 +99,7 @@ def composition_law() -> CompositionReport:
     ok = True
     for coord in ("x", "y", "z"):
         difference = composed[coord] - expected[coord]
-        _, remainder = divide(difference, relations) if not difference.is_zero else (
-            None,
-            difference,
-        )
+        _, remainder = divide(difference, relations)
         residuals.append((coord, remainder))
         ok = ok and remainder.is_zero
     return CompositionReport(ok, tuple(residuals))

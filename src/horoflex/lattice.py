@@ -100,27 +100,27 @@ def _check_width(rows: Sequence[Sequence[int]], width: int) -> None:
 
 
 def _eliminate(
-    work: list[Sequence[int]], ncols: int, pivot_rows: int, reduce: bool
+    work: list[Sequence[int]], ncols: int, reduce: bool
 ) -> tuple[list[int], int]:
     """Fraction-free (Bareiss) Gaussian elimination of integer rows, in place.
 
-    Each of columns ``0..ncols-1`` takes as pivot the first of rows
-    ``rank..pivot_rows-1`` nonzero there (later rows never pivot).  Rows
-    below the pivot, and above it when ``reduce``, become ``(p * row -
-    row[col] * pivot_row) // prev`` with ``prev`` the previous pivot: exact
-    by Sylvester's identity, so entries stay minors of the input (Bareiss,
-    Math. Comp. 22, 1968).  Returns the pivot columns and the last pivot
-    ``d`` (1 if none); after ``reduce``, pivot row ``r`` holds ``d`` at
-    ``pivots[r]`` and 0 at every other pivot column.
+    Each of columns ``0..ncols-1`` takes as pivot the first row from row
+    ``rank`` on that is nonzero there.  Rows below the pivot, and above it
+    when ``reduce``, become ``(p * row - row[col] * pivot_row) // prev``
+    with ``prev`` the previous pivot: exact by Sylvester's identity, so
+    entries stay minors of the input (Bareiss, Math. Comp. 22, 1968).
+    Returns the pivot columns and the last pivot ``d`` (1 if none); after
+    ``reduce``, pivot row ``r`` holds ``d`` at ``pivots[r]`` and 0 at every
+    other pivot column.
     """
     pivots: list[int] = []
     prev = 1
     nrows = len(work)
     for col in range(ncols):
         rank = len(pivots)
-        if rank == pivot_rows:
+        if rank == nrows:
             break
-        pick = next((i for i in range(rank, pivot_rows) if work[i][col]), None)
+        pick = next((i for i in range(rank, nrows) if work[i][col]), None)
         if pick is None:
             continue
         work[rank], work[pick] = work[pick], work[rank]
@@ -144,7 +144,7 @@ def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
     if not rows:
         return 0
     _check_width(rows, len(rows[0]))
-    return len(_eliminate(list(rows), len(rows[0]), len(rows), reduce=False)[0])
+    return len(_eliminate(list(rows), len(rows[0]), reduce=False)[0])
 
 
 def solve_left(
@@ -166,7 +166,7 @@ def solve_left(
     scale = lcm(*(t.denominator for t in target))
     column = [t.numerator * (scale // t.denominator) for t in target]
     aug = list(zip(*rows, column))
-    pivots, d = _eliminate(aug, m, n, reduce=True)
+    pivots, d = _eliminate(aug, m, reduce=True)
     if any(row[m] for row in aug[len(pivots):]):
         return None
     value = {col: row[m] for col, row in zip(pivots, aug)}
@@ -184,7 +184,7 @@ def integer_kernel_basis(rows: Sequence[Vec], ambient_rank: int) -> list[Vec]:
         return [hermite_row(i, ambient_rank) for i in range(ambient_rank)]
     work = list(rows)
     _check_width(work, ambient_rank)
-    pivots, _ = _eliminate(work, ambient_rank, len(work), reduce=False)
+    pivots, _ = _eliminate(work, ambient_rank, reduce=False)
     if len(pivots) == ambient_rank:
         return []
     m = len(rows)
@@ -439,11 +439,14 @@ class RationalCone:
 def _canonical_rays(
     gens: list[Vec], ineq: Sequence[Vec], lineality: Sequence[Vec]
 ) -> tuple[Vec, ...]:
-    # the generators lie in the span, so the inequalities alone decide extremality
-    zeros = {g: sum(1 << i for i, f in enumerate(ineq) if dot(f, g) == 0) for g in gens}
+    # the generators lie in the span, so the inequalities alone decide
+    # extremality; on the span only the lineality space has every value 0, so
+    # the primitive value vector names a ray modulo the lineality space
+    values = {g: tuple(dot(f, g) for f in ineq) for g in gens}
+    zeros = {g: sum(1 << i for i, a in enumerate(vals) if a == 0) for g, vals in values.items()}
     chosen: dict[Vec, Vec] = {}
     for g in _extreme(zeros, (1 << len(ineq)) - 1):
-        key = _quotient_key(g, lineality)
+        key = primitive(values[g])
         if key not in chosen or g < chosen[key]:
             chosen[key] = g
     rays = list(chosen.values())
@@ -451,16 +454,6 @@ def _canonical_rays(
         rays.append(line)
         rays.append(vneg(line))
     return tuple(sorted(rays))
-
-
-def _quotient_key(g: Vec, lineality: Sequence[Vec]) -> Vec:
-    """Canonical label of g modulo the rational span of the lineality basis."""
-    if not lineality:
-        return g
-    # g rides below the basis rows and ends as det * (g - its projection)
-    work = [*lineality, g]
-    det = _eliminate(work, len(g), len(lineality), reduce=False)[1]
-    return primitive(work[-1] if det > 0 else vneg(work[-1]))
 
 
 def dual_cone(c: RationalCone) -> RationalCone:
@@ -552,9 +545,11 @@ def hilbert_basis(c: RationalCone, subgroup: Optional[LatticeSubgroup] = None) -
     of S (Bruns & Ichim, J. Algebra 324, 2010).  That covers the Hilbert
     basis: by conic Caratheodory an irreducible point lies in some such
     simplicial cone, and unless it is a ray of S its coefficients there are
-    all below 1.  Candidates are reduced in order of a positive degree,
-    against the irreducible ones found so far; the irreducible ones form the
-    unique minimal generating set, mapped back to Z^n through the frame.
+    all below 1.  Each candidate's values under the facet normals are
+    computed once; in order of their sum, a positive degree, a candidate is
+    kept unless an irreducible one found so far has no larger value.  The
+    irreducible ones form the unique minimal generating set, mapped back to
+    Z^n through the frame.
     """
     if not is_pointed(c):
         raise NonPointedError("non-pointed: Hilbert basis undefined here")
@@ -578,15 +573,16 @@ def hilbert_basis(c: RationalCone, subgroup: Optional[LatticeSubgroup] = None) -
         coords.add(fraction_primitive(x))
     rays = sorted(coords)
     normals = [primitive([dot(b, f) for b in frame]) for f in c._ineq_normals]
-    degree = [sum(col) for col in zip(*normals)]
     candidates = set(rays)
     for subset in combinations(rays, d):
         candidates.update(_parallelepiped_points(subset))
     candidates.discard((0,) * d)
+    values = {h: tuple(dot(f, h) for f in normals) for h in candidates}
     basis: list[Vec] = []
-    for h in sorted(candidates, key=lambda v: (dot(degree, v), v)):
-        # h - b has lower degree than h, so it is zero only when b == h
-        if not any(all(dot(f, vsub(h, b)) >= 0 for f in normals) for b in basis):
+    for h in sorted(candidates, key=lambda v: (sum(values[v]), v)):
+        # b reduces h when h - b is in the cone: no value of b exceeds h's
+        vh = values[h]
+        if not any(all(a <= x for a, x in zip(values[b], vh)) for b in basis):
             basis.append(h)
     return sorted(
         tuple(sum(a * b[j] for a, b in zip(h, frame)) for j in range(n)) for h in basis
@@ -603,14 +599,14 @@ def _parallelepiped_points(gens: Sequence[Vec]) -> list[Vec]:
     the unimodular subsets before any inverse is formed.
     """
     d = len(gens)
-    pivots, det = _eliminate(list(gens), d, d, reduce=False)
+    pivots, det = _eliminate(list(gens), d, reduce=False)
     if len(pivots) < d:
         return []
     if abs(det) == 1:
         return [(0,) * d]  # unimodular: a single coset
     # [gens | I] reduces to [det * I | det * gens^-1]
     work: list[Sequence[int]] = [[*g, *hermite_row(i, d)] for i, g in enumerate(gens)]
-    det = _eliminate(work, d, d, reduce=True)[1]
+    det = _eliminate(work, d, reduce=True)[1]
     inverse = [row[d:] for row in work]
     diagonal = [row[i] for i, row in enumerate(hermite_normal_form(gens))]
     points = []

@@ -490,77 +490,76 @@ def _verify_gap(datum: HorosphericalDatum, gap: Any) -> list[str]:
 def verify_check_report(
     report: dict[str, Any], datum: Optional[HorosphericalDatum] = None
 ) -> None:
-    """Re-derive every witness invariant from the report's own input.
+    """Re-derive every certificate invariant from the report's own input.
 
-    The input is parsed again.  The certificate builders pass the
-    ``spec.datum`` the report was built from: the parsed input must then
-    have its ranks and generators, and the audit reads that datum's cone and
-    face lattice instead of building them again.  Without it (a report from
-    elsewhere) the parsed input's cone and face lattice are built, once.  The
-    canonical generators must be the sorted, deduplicated input generators,
-    the status must be ``NotCovered_UnitsExist`` exactly when the cone has
-    a line, a certified ``check`` report must list face i at position i for
-    every face, a ``grading`` report's ``face_count`` must be the number of
-    faces, and the gap and every witness are checked against that cone.
-    Raises CorruptReportError listing every inconsistency; the ``check``
-    and ``grading`` builders call it on every report they make.
+    A report must be an object, and its input is parsed again; a malformed
+    one stops the audit.  The certificate builders pass the ``spec.datum``
+    the report was built from: the parsed input must then have its ranks and
+    generators, and the audit reads that datum's cone and face lattice
+    instead of building them again.  Without it (a report from elsewhere)
+    they are built once from the input.  The canonical generators must be
+    the sorted, deduplicated input generators.  The shape is then decided
+    once.  A report with a ``witness`` is a ``grading`` report: its
+    ``face_count`` must be the number of faces, and it has no ``verdict`` or
+    ``witnesses``.  Any other is a ``check`` report: its verdict is an object
+    whose status is ``NotCovered_UnitsExist`` exactly when the cone has a
+    line, only ``NotCovered_NotNormal`` carries a gap, and only
+    ``CertifiedFlexible`` lists witnesses, face i at position i; any other
+    lists ``[]``.  The gap and every witness are checked against the cone.
+    Raises CorruptReportError listing every inconsistency; the ``check`` and
+    ``grading`` builders call it on every report they make.
     """
+    if not isinstance(report, dict):
+        raise CorruptReportError(f"report must be a JSON object, not {type(report).__name__}")
     problems = []
     if not _exact(report.get("schema"), SCHEMA_VERSION):
         problems.append("unknown schema version")
-    known = [s.value for s in FlexStatus]  # a list: a tampered status may not hash
-    status = gap = None
-    witnesses = []
-    if "verdict" in report:
-        verdict = report["verdict"]
+    try:
+        parsed = _spec_from_payload(report.get("input")).datum
+    except SpecError as exc:
+        problems.append(f"report input is malformed: {exc}")
+        raise CorruptReportError("; ".join(problems)) from None
+    if datum is None:
+        datum = parsed
+    elif datum != parsed:  # dataclass equality: ranks and sorted generators
+        problems.append("report input is not the datum it was built from")
+        datum = parsed
+    if not _exact(report.get("canonical_generators"), [list(g) for g in datum.generators]):
+        problems.append("canonical generators are not the sorted input generators")
+    if "witness" in report:
+        witnesses = [report["witness"]]
+        if not _exact(report.get("face_count"), len(datum.faces)):
+            problems.append(f"face_count is not the cone's {len(datum.faces)} faces")
+        for key in ("verdict", "witnesses"):
+            if key in report:
+                problems.append(f"grading report carries {key!r}")
+    else:
+        witnesses = report.get("witnesses")
+        verdict = report.get("verdict")
         if not isinstance(verdict, dict):
             problems.append(f"malformed verdict {verdict!r}")
             verdict = {}
         status = verdict.get("status")
-        if status not in known:
-            problems.append(f"unknown verdict status {status!r}")
-        witnesses = report.get("witnesses", [])
         gap = verdict.get("saturation_gap")
+        pointed = is_pointed(datum.cone)
+        if status not in [s.value for s in FlexStatus]:  # a list: a tampered status may not hash
+            problems.append(f"unknown verdict status {status!r}")
+        elif (status == FlexStatus.NOT_COVERED_UNITS_EXIST.value) == pointed:
+            problems.append(f"status {status} but the cone {'has no' if pointed else 'has a'} line")
+        if status == FlexStatus.NOT_COVERED_NOT_NORMAL.value:
+            problems.extend(_verify_gap(datum, gap))
+        elif gap is not None:
+            problems.append(f"{status} verdict carries a saturation gap")
         if status == FlexStatus.CERTIFIED_FLEXIBLE.value:
-            if gap is not None:
-                problems.append("certified verdict carries a saturation gap")
-            if not witnesses:
-                problems.append("certified verdict without witnesses")
-        elif witnesses:
-            problems.append("witnesses present on a non-certified verdict")
-    if "witness" in report:
-        witnesses = [*witnesses, report["witness"]]
-    if "verdict" in report or "witness" in report:
-        try:
-            parsed = _spec_from_payload(report.get("input")).datum
-        except SpecError as exc:
-            problems.append(f"report input is malformed: {exc}")
-        else:
-            if datum is None:
-                datum = parsed
-            elif datum != parsed:  # dataclass equality: ranks and sorted generators
-                problems.append("report input is not the datum it was built from")
-                datum = parsed
-            if not _exact(report.get("canonical_generators"), [list(g) for g in datum.generators]):
-                problems.append("canonical generators are not the sorted input generators")
-            if status in known:
-                units = status == FlexStatus.NOT_COVERED_UNITS_EXIST.value
-                if units == is_pointed(datum.cone):
-                    problems.append(
-                        f"status {status} but the cone {'has no' if units else 'has a'} line"
-                    )
-            if status == FlexStatus.NOT_COVERED_NOT_NORMAL.value:
-                problems.extend(_verify_gap(datum, gap))
-            listed = report.get("witnesses")
-            if status == FlexStatus.CERTIFIED_FLEXIBLE.value and isinstance(listed, list):
-                order = [w.get("face_index") if isinstance(w, dict) else None for w in listed]
-                if order != list(range(len(datum.faces))):
-                    problems.append(
-                        f"witnesses do not list the cone's {len(datum.faces)} faces in order"
-                    )
-            if "witness" in report and not _exact(report.get("face_count"), len(datum.faces)):
-                problems.append(f"face_count is not the cone's {len(datum.faces)} faces")
-            problems.extend(_verify_witnesses(datum, witnesses))
+            listed = witnesses if isinstance(witnesses, list) else []
+            order = [w.get("face_index") if isinstance(w, dict) else None for w in listed]
+            if order != list(range(len(datum.faces))):
+                problems.append(
+                    f"witnesses do not list the cone's {len(datum.faces)} faces in order"
+                )
+        elif witnesses != []:
+            problems.append(f"{status} verdict must list witnesses as []")
+    problems.extend(_verify_witnesses(datum, witnesses))
     if problems:
         raise CorruptReportError("; ".join(problems))
 

@@ -522,6 +522,69 @@ def test_verify_rejects_json_booleans(build, tamper, reason):
         verify_check_report(bad)
 
 
+def test_verify_rejects_check_report_without_verdict():
+    # without its verdict, a check report is still audited as one
+    report = build_check_report(parse_spec(VERONESE_TEXT))
+    bad = copy.deepcopy(report)
+    del bad["verdict"]
+    bad["witnesses"][1]["functional"] = [5, 5]
+    bad["canonical_generators"] = [[9, 9]]
+    with pytest.raises(CorruptReportError, match="malformed verdict") as excinfo:
+        verify_check_report(bad)
+    assert "canonical generators" in str(excinfo.value)
+    assert "functional does not vanish" in str(excinfo.value)
+
+
+def test_verify_rejects_grading_report_without_witness():
+    # without its witness, a grading report is audited as a check report
+    report = build_grading_report(QUAD_SPEC, 3)
+    bad = copy.deepcopy(report)
+    del bad["witness"]
+    bad["face_count"] = 99
+    with pytest.raises(CorruptReportError, match="malformed verdict"):
+        verify_check_report(bad)
+
+
+@pytest.mark.parametrize("key", ["verdict", "witnesses"])
+def test_verify_rejects_grading_report_with_check_fields(key):
+    grading = build_grading_report(QUAD_SPEC, 3)
+    check = build_check_report(QUAD_SPEC)
+    bad = {**grading, key: check[key]}
+    with pytest.raises(CorruptReportError, match=f"grading report carries '{key}'"):
+        verify_check_report(bad)
+
+
+def test_verify_rejects_gap_on_units_verdict():
+    # only a NotCovered_NotNormal verdict carries a saturation gap
+    report = build_check_report(DatumSpec(2, 0, ((1, 0), (-1, 0), (0, 1))))
+    assert report["verdict"]["status"] == "NotCovered_UnitsExist"
+    verify_check_report(report)
+    bad = copy.deepcopy(report)
+    bad["verdict"]["saturation_gap"] = [5, 7]
+    with pytest.raises(CorruptReportError, match="NotCovered_UnitsExist verdict carries"):
+        verify_check_report(bad)
+
+
+@pytest.mark.parametrize("value", [None, "missing"])
+def test_verify_rejects_non_certified_verdict_without_empty_witness_list(value):
+    report = build_check_report(DatumSpec(1, 0, ((2,), (3,))))
+    assert report["verdict"]["status"] == "NotCovered_NotNormal"
+    verify_check_report(report)
+    bad = copy.deepcopy(report)
+    if value == "missing":
+        del bad["witnesses"]
+    else:
+        bad["witnesses"] = value
+    with pytest.raises(CorruptReportError, match="must list witnesses as"):
+        verify_check_report(bad)
+
+
+@pytest.mark.parametrize("report", [[], None, "x", 3])
+def test_verify_rejects_non_object_report(report):
+    with pytest.raises(CorruptReportError, match="must be a JSON object"):
+        verify_check_report(report)
+
+
 def _corrupt_witness_degrees(monkeypatch):
     """Make every grading witness the builders compute store degree 9."""
     import horoflex.reporting as reporting_module

@@ -41,13 +41,19 @@ NOT_POINTED = {"line"}
 EHM = [(3, 7, 6, 32), (2, 5, 3, 17), (1, 2, 1, 0)]
 
 
-def render(argv: list[str]) -> str:
-    """The command's JSON report as the CLI prints it, without ``timing_ms``."""
+def run(argv: list[str], fmt: str) -> tuple[int, str]:
+    """Exit code and standard output of the command in the given format."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([*argv, "--format", "json"])
+        code = main([*argv, "--format", fmt])
+    return code, out.getvalue()
+
+
+def render(argv: list[str]) -> str:
+    """The command's JSON report as the CLI prints it, without ``timing_ms``."""
+    code, out = run(argv, "json")
     assert code in (0, 2), f"{argv} exited {code}"
-    report = json.loads(out.getvalue())
+    report = json.loads(out)
     del report["timing_ms"]
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
@@ -91,6 +97,16 @@ def test_golden_files_cover_every_case(cases):
 def test_report_matches_golden(stem, cases):
     assert stem in cases, f"stale golden file {stem}.json"
     assert render(cases[stem]) == (GOLDEN / f"{stem}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("stem", sorted(p.stem for p in GOLDEN.glob("*.json")))
+def test_text_report_of_every_case(stem, cases):
+    # the text view exits as the JSON run does and opens with the same header
+    code, out = run(cases[stem], "json")
+    report = json.loads(out)
+    text_code, text = run(cases[stem], "text")
+    assert text_code == code
+    assert text.startswith(f"horoflex {report['command']} (version {report['version']})\n")
 
 
 if __name__ == "__main__":

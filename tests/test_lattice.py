@@ -549,10 +549,12 @@ def test_extreme_rays_and_face_incidence_match_rank_route(case):
     for r in rays:
         assert r in primitives and extreme(r)
     for g in primitives:
-        # extreme generators lie on exactly one listed ray modulo the lineality
+        # extreme generators lie on exactly one listed ray modulo the lineality,
+        # and that ray is the least extreme generator of its class
         if extreme(g):
             same_ray = [r for r in rays if rational_rank(lineality + [r, g]) == lin_dim + 1]
             assert len(same_ray) == 1
+            assert same_ray[0] <= g
         else:
             assert g not in rays
     for face in face_lattice(c):
