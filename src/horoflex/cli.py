@@ -8,9 +8,9 @@ kind (bad input, rank cap, corrupted report).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Optional, Sequence
 
 from .registry import list_examples, run_example
@@ -42,10 +42,55 @@ def _load_spec(path: str):
     return spec
 
 
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(value: Any, pad: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
+
+    With ``indent`` set, ``json.dumps`` runs the pure-Python encoder; this
+    builds the same text from the C string quoter and ``int``/``float``
+    ``repr``, writing a list of plain ints with one join.  ``pad`` is the
+    newline and indentation that precede the value's closing bracket.  Dict
+    keys must be strings; a value other than a dict, list, tuple, str, int,
+    float, bool or None raises ``TypeError``.
+    """
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        body = [_quote(key) + ": " + _json(value[key], inner) for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(body) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        if all(type(x) is int for x in value):
+            body = map(int.__repr__, value)
+        else:
+            body = [_json(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(body) + pad + "]"
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_WORDS.get(text, text)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(report: dict[str, Any], fmt: str, elapsed_ms: float) -> None:
+    """Print the report with its ``timing_ms``: JSON through ``_json``, or text."""
     report["timing_ms"] = round(elapsed_ms, 3)
     if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_json(report))
     else:
         print(render_text(report))
 

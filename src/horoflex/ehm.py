@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Optional
 
 from .actions import DiagonalTorusAction, is_invariant, monomial_weight, semi_invariant_weight
@@ -123,11 +124,15 @@ def check_weight_identity(
 
     For exponents (s, u, v, w, z) the weight must equal
     s*p + u*q - v*q - w*p, equal (u + w)*(q - p) + k*z, and be nonnegative.
+    The direct weight is the exponents' dot product with the grading
+    action's weights, as in ``monomial_weight``.
     """
     p, q, k = datum.p, datum.q, datum.k
+    weights = datum.grading_action.weights
     for mono in monomials:
-        s, u, v, w, z = mono.exponents
-        direct = monomial_weight(datum.grading_action, mono.exponents).gm_weight
+        exps = mono.exponents
+        s, u, v, w, z = exps
+        direct = sum(map(mul, exps, weights))
         folded = (u + w) * (q - p) + k * z
         if not (mono.grading_weight == direct == folded and direct >= 0):
             return WeightIdentityReport(False, len(monomials), mono.exponents)

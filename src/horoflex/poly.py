@@ -1,6 +1,9 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-Terms map exponent tuples to nonzero Fraction coefficients; the variable
+Terms map exponent tuples to nonzero coefficients: an ``int`` when the
+coefficient is integral, a ``Fraction`` only when its denominator is not 1,
+never a ``float`` or a ``bool``.  Integral polynomials, nearly all of those
+this package builds, so add and multiply in int arithmetic.  The variable
 universe of a polynomial is kept sorted by name so that the graded
 lexicographic order (and with it every division result) is independent of
 construction order.  Also provides derivations, a bounded local-nilpotency
@@ -13,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -27,8 +31,30 @@ def _grlex(e: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (sum(e), e)
 
 
+def _coefficient(value: Scalar) -> Scalar:
+    """The stored form of a scalar: an int, or a Fraction that is not integral."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool):
+        raise TypeError("booleans are not polynomial coefficients")
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    raise TypeError(f"cannot treat {value!r} as a polynomial")
+
+
 class Polynomial:
-    """Immutable polynomial with exact rational coefficients."""
+    """Immutable polynomial with exact rational coefficients.
+
+    ``terms`` maps exponent tuples (one entry per name in ``variables``) to
+    nonzero coefficients, each an ``int`` or a non-integral ``Fraction``.
+    Equality, hashing and printing do not see the difference, since
+    ``3 == Fraction(3)`` and both hash and print alike; ``constant_value``
+    and ``evaluate`` return a ``Fraction`` either way.  Coefficients given
+    to the constructor must be ints or Fractions; floats and bools are
+    refused.
+    """
 
     __slots__ = ("variables", "terms")
 
@@ -42,25 +68,18 @@ class Polynomial:
             raise ValueError("duplicate variable names")
         order = tuple(sorted(names))
         perm = [names.index(v) for v in order]
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Scalar] = {}
         for exps, coeff in terms.items():
             e = tuple(exps)
             if len(e) != len(names):
                 raise ValueError("exponent tuple length does not match variables")
             for x in e:
-                if not isinstance(x, int) or x < 0:
+                if isinstance(x, bool) or not isinstance(x, int) or x < 0:
                     raise ValueError(f"exponents must be nonnegative integers, got {x!r}")
-            c = Fraction(coeff)
-            if c == 0:
-                continue
             key = tuple(e[i] for i in perm)
-            c = clean.get(key, Fraction(0)) + c
-            if c == 0:
-                clean.pop(key, None)
-            else:
-                clean[key] = c
+            clean[key] = clean.get(key, 0) + _coefficient(coeff)
         object.__setattr__(self, "variables", order)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", Polynomial._make(order, clean).terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -68,11 +87,16 @@ class Polynomial:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def _make(variables: tuple[str, ...], terms: dict[tuple[int, ...], Fraction]) -> "Polynomial":
-        # internal fast path: variables already sorted, terms already clean
+    def _make(variables: tuple[str, ...], terms: Mapping[tuple[int, ...], Scalar]) -> "Polynomial":
+        # internal fast path: variables already sorted, coefficients exact;
+        # drops zero terms and turns integral Fractions into ints
         p = object.__new__(Polynomial)
         object.__setattr__(p, "variables", variables)
-        object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c != 0})
+        object.__setattr__(p, "terms", {
+            e: c if type(c) is int or c.denominator != 1 else c.numerator
+            for e, c in terms.items()
+            if c
+        })
         return p
 
     # -- basic queries ---------------------------------------------------------
@@ -89,11 +113,11 @@ class Polynomial:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
     # -- universe alignment ----------------------------------------------------
 
-    def on_universe(self, universe: tuple[str, ...]) -> dict[tuple[int, ...], Fraction]:
+    def on_universe(self, universe: tuple[str, ...]) -> dict[tuple[int, ...], Scalar]:
         """Re-key the terms onto a larger sorted variable universe."""
         if universe == self.variables:
             return dict(self.terms)
@@ -104,7 +128,7 @@ class Polynomial:
             except ValueError:
                 raise ValueError(f"universe is missing variable {v!r}") from None
         width = len(universe)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         for e, c in self.terms.items():
             key = [0] * width
             for p, x in zip(pos, e):
@@ -124,22 +148,19 @@ class Polynomial:
     def _coerce(value: PolyLike) -> "Polynomial":
         if isinstance(value, Polynomial):
             return value
-        if isinstance(value, bool):
-            raise TypeError("booleans are not polynomial coefficients")
-        if isinstance(value, (int, Fraction)):
-            return constant(value)
-        raise TypeError(f"cannot treat {value!r} as a polynomial")
+        return constant(value)
+
+    def _terms_on(self, universe: tuple[str, ...]) -> Mapping[tuple[int, ...], Scalar]:
+        # read-only view: the terms themselves when the universe already matches
+        return self.terms if universe == self.variables else self.on_universe(universe)
 
     def __add__(self, other: PolyLike) -> "Polynomial":
         other = Polynomial._coerce(other)
         universe = Polynomial._merge_universe(self, other)
         terms = self.on_universe(universe)
-        for e, c in other.on_universe(universe).items():
-            s = terms.get(e, Fraction(0)) + c
-            if s == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = s
+        get = terms.get
+        for e, c in other._terms_on(universe).items():
+            terms[e] = get(e, 0) + c
         return Polynomial._make(universe, terms)
 
     __radd__ = __add__
@@ -156,17 +177,13 @@ class Polynomial:
     def __mul__(self, other: PolyLike) -> "Polynomial":
         other = Polynomial._coerce(other)
         universe = Polynomial._merge_universe(self, other)
-        a = self.on_universe(universe)
-        b = other.on_universe(universe)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(key, Fraction(0)) + ca * cb
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+        b = other._terms_on(universe).items()
+        out: dict[tuple[int, ...], Scalar] = {}
+        get = out.get
+        for ea, ca in self._terms_on(universe).items():
+            for eb, cb in b:
+                key = tuple(map(add, ea, eb))
+                out[key] = get(key, 0) + ca * cb
         return Polynomial._make(universe, out)
 
     __rmul__ = __mul__
@@ -190,7 +207,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         universe = Polynomial._merge_universe(self, other)
-        return self.on_universe(universe) == other.on_universe(universe)
+        return self._terms_on(universe) == other._terms_on(universe)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -210,12 +227,12 @@ class Polynomial:
         if var not in self.variables:
             return constant(0)
         idx = self.variables.index(var)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         for e, c in self.terms.items():
             if e[idx] == 0:
                 continue
             key = tuple(x - 1 if i == idx else x for i, x in enumerate(e))
-            out[key] = out.get(key, Fraction(0)) + c * e[idx]
+            out[key] = out.get(key, 0) + c * e[idx]
         return Polynomial._make(self.variables, out)
 
     def substitute(self, assignment: Mapping[str, PolyLike]) -> "Polynomial":
@@ -282,14 +299,12 @@ class Polynomial:
 def variable(name: str) -> Polynomial:
     if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
         raise ValueError(f"not a valid variable name: {name!r}")
-    return Polynomial._make((name,), {(1,): Fraction(1)})
+    return Polynomial._make((name,), {(1,): 1})
 
 
 def constant(value: Scalar) -> Polynomial:
-    c = Fraction(value)
-    if c == 0:
-        return Polynomial._make((), {})
-    return Polynomial._make((), {(): c})
+    """The constant polynomial; an int or a Fraction, not a float or a bool."""
+    return Polynomial._make((), {(): _coefficient(value)})
 
 
 # ---------------------------------------------------------------------------
@@ -425,19 +440,19 @@ def divide(
         terms = d.on_universe(universe)
         lead = max(terms, key=_grlex)
         divisor_data.append((terms, lead, terms[lead]))
-    quotients: list[dict[tuple[int, ...], Fraction]] = [{} for _ in divisors]
-    remainder: dict[tuple[int, ...], Fraction] = {}
+    quotients: list[dict[tuple[int, ...], Scalar]] = [{} for _ in divisors]
+    remainder: dict[tuple[int, ...], Scalar] = {}
     while work:
         e = max(work, key=_grlex)
         c = work[e]
         for qi, (terms, lead, lead_c) in enumerate(divisor_data):
             if all(x >= y for x, y in zip(e, lead)):
                 shift = tuple(x - y for x, y in zip(e, lead))
-                factor = c / lead_c
-                quotients[qi][shift] = quotients[qi].get(shift, Fraction(0)) + factor
+                factor = _coefficient(Fraction(c, lead_c))
+                quotients[qi][shift] = quotients[qi].get(shift, 0) + factor
                 for de, dc in terms.items():
-                    key = tuple(x + y for x, y in zip(shift, de))
-                    s = work.get(key, Fraction(0)) - factor * dc
+                    key = tuple(map(add, shift, de))
+                    s = work.get(key, 0) - factor * dc
                     if s == 0:
                         work.pop(key, None)
                     else:

@@ -1,10 +1,12 @@
 import copy
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from horoflex.cli import main
+from horoflex.cli import _json, main
 from horoflex.registry import run_example
 from horoflex.reporting import (
     CorruptReportError,
@@ -274,6 +276,7 @@ def test_json_output_has_sorted_keys(veronese_file, capsys):
     keys = list(json.loads(out))
     assert keys == sorted(keys)
     assert "timing_ms" in out
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -639,3 +642,57 @@ def test_rank_five_cube_check_and_saturate(tmp_path, capsys):
     code, report = run_json(capsys, ["saturate", str(path)])
     assert code == 0
     assert report["already_saturated"] is True
+
+
+# ---------------------------------------------------------------------------
+# the JSON emitter
+
+
+JSON_TEXT = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é☃😀')),
+    max_size=8,
+)
+JSON_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-07, 1e16, 1.5e300, float("inf"), float("nan")]),
+    st.floats(),
+    st.floats(-1e6, 1e6).map(lambda x: round(x, 3)),
+)
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(2**64, 2**200),
+    st.integers(-(2**200), -(2**64)),
+    JSON_FLOATS,
+    JSON_TEXT,
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(st.one_of(st.integers(), st.booleans()), max_size=5),
+        st.dictionaries(JSON_TEXT, children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+@example({"a": [True, 1, False, 0]})
+@example([{}, [], (), ""])
+@example({"timing_ms": round(12.34567, 3), "z": -0.0, "big": 2**70})
+@example({"k\u00e9y\n\"q\"\\": {"nested": [[1, 2], [None]]}})
+def test_json_emitter_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Fraction(1, 2), {1, 2}, {"a": [Fraction(3)]}, {1: "int key"}, {"a": {None: 1}}, {"a": 1, 2: "b"}],
+)
+def test_json_emitter_rejects_what_reports_never_hold(value):
+    with pytest.raises(TypeError):
+        _json(value)
+

@@ -23,14 +23,30 @@ from horoflex.poly import (
 X, Y, Z = variable("x"), variable("y"), variable("z")
 
 
+def random_coefficient(rng, max_coef=5):
+    """An int, or in some draws a Fraction n/d (integral ones included)."""
+    n = rng.randint(-max_coef, max_coef)
+    if rng.random() < 0.3:
+        return Fraction(n, rng.randint(1, 4))
+    return n
+
+
 def random_poly(rng, names=("x", "y"), max_terms=4, max_deg=3, max_coef=5):
     p = constant(0)
     for _ in range(rng.randint(1, max_terms)):
-        term = constant(rng.randint(-max_coef, max_coef))
+        term = constant(random_coefficient(rng, max_coef))
         for name in names:
             term = term * variable(name) ** rng.randint(0, max_deg)
         p = p + term
     return p
+
+
+def assert_coefficients_normal(p):
+    """Every coefficient is a nonzero int or a Fraction with denominator > 1."""
+    for c in p.terms.values():
+        assert (type(c) is int and c != 0) or (
+            type(c) is Fraction and c.denominator != 1
+        ), (p, c)
 
 
 def to_sympy(p):
@@ -87,6 +103,51 @@ def test_polynomial_identity_examples():
         constant(0),
     )
     assert left == right
+
+
+def test_integral_coefficients_are_ints():
+    p = Polynomial(["x", "y"], {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 3), (0, 0): 0})
+    assert p.terms == {(1, 0): 2, (0, 1): Fraction(1, 3)}
+    assert type(p.terms[(1, 0)]) is int
+    assert type(variable("x").terms[(1,)]) is int
+    assert constant(Fraction(6, 3)).terms == {(): 2}
+    half = Fraction(1, 2) * X
+    assert type((half + half).terms[(1,)]) is int
+    assert_coefficients_normal(half * 2)
+    # the public scalar results stay Fractions
+    assert type(constant(3).constant_value()) is Fraction
+    assert type((X + 1).evaluate({"x": 2})) is Fraction
+    # ints and Fractions are interchangeable for equality, hashing and text
+    assert constant(3) == constant(Fraction(3)) == 3 == Fraction(3)
+    assert hash(constant(3)) == hash(Polynomial((), {(): Fraction(3)}))
+    assert str(Fraction(3, 1) * X) == str(3 * X) == "3*x"
+
+
+@pytest.mark.parametrize("coeff", [0.1, 1.0, float("nan")])
+def test_constructor_rejects_float_coefficients(coeff):
+    with pytest.raises(TypeError, match="cannot treat .* as a polynomial"):
+        Polynomial(["x"], {(1,): coeff})
+    with pytest.raises(TypeError, match="cannot treat .* as a polynomial"):
+        constant(coeff)
+    with pytest.raises(TypeError, match="cannot treat .* as a polynomial"):
+        X * coeff
+
+
+@pytest.mark.parametrize("coeff", [True, False])
+def test_constructor_rejects_bool_coefficients(coeff):
+    with pytest.raises(TypeError, match="booleans are not polynomial coefficients"):
+        Polynomial(["x"], {(1,): coeff})
+    with pytest.raises(TypeError, match="booleans are not polynomial coefficients"):
+        constant(coeff)
+    with pytest.raises(TypeError, match="booleans are not polynomial coefficients"):
+        X * coeff
+
+
+def test_constructor_rejects_bool_exponents():
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        Polynomial(["x"], {(True,): 1})
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        Polynomial(["x", "y"], {(1, False): 1})
 
 
 def test_power_rejects_negative():
@@ -357,3 +418,65 @@ def test_leibniz_rule_random(seed):
     )
     p, q = random_poly(rng), random_poly(rng)
     assert d.apply(p * q) == d.apply(p) * q + p * d.apply(q)
+
+
+def random_triangular_derivation(rng, names=("x", "y", "z")):
+    """d(names[i]) is a polynomial in the later names only: locally nilpotent."""
+    images = {}
+    for i, name in enumerate(names):
+        later = names[i + 1:]
+        images[name] = random_poly(rng, names=later, max_terms=2, max_deg=2) if later else constant(
+            random_coefficient(rng)
+        )
+    return Derivation(images)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_coefficient_invariant_after_every_operation(seed):
+    rng = random.Random(seed)
+    a, b = random_poly(rng), random_poly(rng)
+    results = [a, b, a + b, a - b, a * b, a ** rng.randint(0, 3), a.partial("x"), a.partial("y")]
+    results.append(a.substitute({"x": b, "y": Fraction(1, 2) * X + 1}))
+    divisors = [d for d in (b, random_poly(rng, max_terms=2)) if not d.is_zero]
+    if divisors:
+        quotients, remainder = divide(a, divisors)
+        results.extend(quotients)
+        results.append(remainder)
+    results.extend(exp_lnd(random_triangular_derivation(rng), "t", 64).values())
+    for p in results:
+        assert_coefficients_normal(p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_division_recomposition_matches_sympy_rational(seed):
+    rng = random.Random(seed)
+    dividend = random_poly(rng, max_coef=7)
+    divisors = [d for d in (random_poly(rng, max_terms=2) for _ in range(2)) if not d.is_zero]
+    if not divisors:
+        return
+    quotients, remainder = divide(dividend, divisors)
+    recomposed = to_sympy(remainder) + sum(
+        to_sympy(q) * to_sympy(d) for q, d in zip(quotients, divisors)
+    )
+    assert sympy.expand(recomposed - to_sympy(dividend)) == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_exp_lnd_matches_sympy_rational(seed):
+    rng = random.Random(seed)
+    d = random_triangular_derivation(rng)
+    t = sympy.Symbol("t")
+    images = {sympy.Symbol(v): to_sympy(img) for v, img in d.images.items()}
+
+    def apply(expr):
+        return sympy.expand(sum(img * sympy.diff(expr, v) for v, img in images.items()))
+
+    for v, img in exp_lnd(d, "t", 64).items():
+        term, total, k = sympy.Symbol(v), sympy.Integer(0), 0
+        while term != 0:
+            total += t**k * term / sympy.factorial(k)
+            term, k = apply(term), k + 1
+        assert sympy.expand(to_sympy(img) - total) == 0
