@@ -7,12 +7,12 @@ scaling.  The checks below are exact polynomial identities and exhaustive
 monomial enumerations, no sampling anywhere.
 """
 
-from horoflex import (
+from horoflex.ehm import (
     build_ehm,
+    check_special_point,
+    check_weight_identity,
     enumerate_invariant_monomials,
     verify_actions_on_hypersurface,
-    verify_special_point,
-    verify_weight_identity,
 )
 
 for p, q, m in [(1, 2, 1), (1, 3, 2), (2, 3, 4)]:
@@ -29,12 +29,13 @@ for p, q, m in [(1, 2, 1), (1, 3, 2), (2, 3, 4)]:
 
     # every invariant monomial has the same weight under both formulas,
     # and the weight is never negative: the grading has no negative part
-    identity = verify_weight_identity(datum, 10)
+    up_to_10 = enumerate_invariant_monomials(datum, 10)
+    identity = check_weight_identity(datum, up_to_10)
     print(f"  weight identity on {identity.checked} monomials: {identity.ok}")
 
     # the distinguished point is on the hypersurface and a known invariant
     # function takes the value one there, so the zero-degree locus meets it
-    point = verify_special_point(datum, 10)
+    point = check_special_point(datum, up_to_10)
     print(
         f"  special point: on surface {point.on_hypersurface}, "
         f"witness monomial {point.monomial_exponents}, value {point.value_at_point}"

@@ -40,7 +40,6 @@ from .poly import (
     compose_substitutions,
     constant,
     divide,
-    divide_exact,
     exp_lnd,
     is_locally_nilpotent_bounded,
     parse_polynomial,
@@ -58,8 +57,6 @@ from .ehm import (
     build_ehm,
     enumerate_invariant_monomials,
     verify_actions_on_hypersurface,
-    verify_special_point,
-    verify_weight_identity,
 )
 from .reporting import (
     CorruptReportError,
@@ -95,7 +92,6 @@ __all__ = [
     "compose_substitutions",
     "constant",
     "divide",
-    "divide_exact",
     "dual_cone",
     "enumerate_invariant_monomials",
     "exp_lnd",
@@ -121,6 +117,4 @@ __all__ = [
     "units_exist",
     "variable",
     "verify_actions_on_hypersurface",
-    "verify_special_point",
-    "verify_weight_identity",
 ]

@@ -29,7 +29,8 @@ class DiagonalTorusAction:
             raise ValueError("duplicate variable names")
         if len(self.weights) != len(self.variables):
             raise ValueError("one weight per variable is required")
-        if not isinstance(self.cyclic_order, int) or self.cyclic_order < 1:
+        order = self.cyclic_order
+        if isinstance(order, bool) or not isinstance(order, int) or order < 1:
             raise ValueError("cyclic_order must be a positive integer")
         cyc = self.cyclic_weights
         if not cyc:
@@ -59,7 +60,7 @@ def monomial_weight(
     if len(exps) != len(action.variables):
         raise ValueError("exponent tuple length does not match the action")
     for x in exps:
-        if not isinstance(x, int) or x < 0:
+        if isinstance(x, bool) or not isinstance(x, int) or x < 0:
             raise ValueError("exponents must be nonnegative integers")
     weight = sum(x * w for x, w in zip(exps, action.weights))
     residue = sum(x * c for x, c in zip(exps, action.cyclic_weights)) % action.cyclic_order

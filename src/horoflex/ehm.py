@@ -139,11 +139,6 @@ def check_weight_identity(
     return WeightIdentityReport(True, len(monomials), None)
 
 
-def verify_weight_identity(datum: EHMDatum, degree_bound: int) -> WeightIdentityReport:
-    """``check_weight_identity`` on every invariant monomial up to degree_bound."""
-    return check_weight_identity(datum, enumerate_invariant_monomials(datum, degree_bound))
-
-
 @dataclass(frozen=True)
 class SpecialPointReport:
     """Checks around the distinguished point (1, 0, 1, 0, 0).
@@ -185,11 +180,6 @@ def check_special_point(
     return SpecialPointReport(
         on_surface, exponents, invariant, value, avoids_y, len(monomials)
     )
-
-
-def verify_special_point(datum: EHMDatum, degree_bound: int = 10) -> SpecialPointReport:
-    """``check_special_point`` on every invariant monomial up to degree_bound."""
-    return check_special_point(datum, enumerate_invariant_monomials(datum, degree_bound))
 
 
 def sl2_substitution() -> dict[str, Polynomial]:

@@ -376,13 +376,16 @@ class RationalCone:
 
     Construction canonicalizes the generators: zero vectors are dropped,
     the rest are primitivized and reduced to the extreme rays, and each
-    lineality direction is stored as a +/- pair of rays.  ``facet_normals``
-    is the cached H-representation; equality constraints (for cones that are
-    not full-dimensional) appear as +/- pairs of normals, so the invariant
-    ``cone = {x : f.x >= 0 for every facet normal f}`` always holds.
+    lineality direction is stored as a +/- pair of rays.  The cone is
+    ``{x : e.x = 0 for e in equations, f.x >= 0 for f in facets}``.
+    ``equations`` is a Hermite basis of the normals vanishing on the whole
+    cone, empty when it is full-dimensional; ``facets`` are the sorted,
+    primitive, irredundant inequality normals, one per facet, none of them
+    vanishing on the whole cone.  ``lineality_basis`` is a Hermite basis of
+    the lines in the cone, empty when it is pointed.
     """
 
-    __slots__ = ("ambient_rank", "rays", "_eq_normals", "_ineq_normals", "_lineality")
+    __slots__ = ("ambient_rank", "rays", "equations", "facets", "lineality_basis")
 
     def __init__(self, rays: Sequence[Sequence[int]], ambient_rank: Optional[int] = None):
         vecs = [as_vector(r) for r in rays]
@@ -395,32 +398,21 @@ class RationalCone:
         vecs = sorted({primitive(v) for v in (as_vector(r, ambient_rank) for r in vecs)
                        if not is_zero_vec(v)})
         object.__setattr__(self, "ambient_rank", ambient_rank)
-        # the dual cone's lineality spans the equality normals, its rays are the facets
+        # the dual cone's lineality spans the equations, its rays are the facets
         eq, ineq = generators_from_inequalities(vecs, ambient_rank)
-        object.__setattr__(self, "_eq_normals", tuple(eq))
-        object.__setattr__(self, "_ineq_normals", tuple(ineq))
-        lineality = integer_kernel_basis(list(eq) + list(ineq), ambient_rank)
-        object.__setattr__(self, "_lineality", tuple(lineality))
+        object.__setattr__(self, "equations", tuple(eq))
+        object.__setattr__(self, "facets", tuple(ineq))
+        lineality = integer_kernel_basis(eq + ineq, ambient_rank)
+        object.__setattr__(self, "lineality_basis", tuple(lineality))
         object.__setattr__(self, "rays", _canonical_rays(vecs, ineq, lineality))
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("RationalCone is immutable")
 
-    @property
-    def facet_normals(self) -> tuple[Vec, ...]:
-        pairs: list[Vec] = []
-        for e in self._eq_normals:
-            pairs.extend((e, vneg(e)))
-        return tuple(sorted(list(self._ineq_normals) + pairs))
-
-    @property
-    def lineality_basis(self) -> tuple[Vec, ...]:
-        return self._lineality
-
     def contains(self, v: Sequence[int]) -> bool:
         vec = as_vector(v, self.ambient_rank)
-        return all(dot(e, vec) == 0 for e in self._eq_normals) and all(
-            dot(f, vec) >= 0 for f in self._ineq_normals
+        return all(dot(e, vec) == 0 for e in self.equations) and all(
+            dot(f, vec) >= 0 for f in self.facets
         )
 
     def __eq__(self, other) -> bool:
@@ -479,9 +471,10 @@ def is_pointed(c: RationalCone) -> bool:
 class FaceDescriptor:
     """One face of a cone.
 
-    ``zero_normals`` are the indices (into ``facet_normals``) of every normal
-    vanishing on the face, ``span_rays`` the indices (into ``rays``) of every
-    ray lying on it, and ``dim`` the dimension of its linear span.
+    ``zero_normals`` are the indices (into the cone's ``facets``) of every
+    facet normal vanishing on the face, ``span_rays`` the indices (into
+    ``rays``) of every ray lying on it, and ``dim`` the dimension of its
+    linear span.
     """
 
     zero_normals: tuple[int, ...]
@@ -492,19 +485,18 @@ class FaceDescriptor:
 def face_lattice(c: RationalCone) -> list[FaceDescriptor]:
     """All faces of c, each exactly once, ordered by (dim, span_rays).
 
-    Faces are intersections of facets; the meet-closure of the ray sets of
-    the facet normals (the ± equality pairs give the whole cone) enumerates
-    them all.  Ray sets are int bitmasks.  A normal vanishes on a face
-    exactly when its ray set contains the face's.  The face lattice is
-    graded (Ziegler, *Lectures on Polytopes*, §2.2): visiting ray sets
-    subsets first, a face is one dimension above its largest proper
-    subfaces, and the minimal face, the lineality space, has the dimension
-    of its basis.  For a pointed cone that is the zero face, with an empty
-    ``span_rays``.
+    Faces are intersections of facets; the meet-closure of the whole ray set
+    and the ray sets of the facets enumerates them all.  Ray sets are int
+    bitmasks.  A facet vanishes on a face exactly when its ray set contains
+    the face's.  The face lattice is graded (Ziegler, *Lectures on
+    Polytopes*, §2.2): visiting ray sets subsets first, a face is one
+    dimension above its largest proper subfaces, and the minimal face, the
+    lineality space, has the dimension of its basis.  For a pointed cone
+    that is the zero face, with an empty ``span_rays``.
     """
     rays = c.rays
     normal_sets = [
-        sum(1 << j for j, r in enumerate(rays) if dot(f, r) == 0) for f in c.facet_normals
+        sum(1 << j for j, r in enumerate(rays) if dot(f, r) == 0) for f in c.facets
     ]
     ray_sets = {(1 << len(rays)) - 1, *normal_sets}
     work = list(ray_sets)
@@ -536,9 +528,9 @@ def hilbert_basis(c: RationalCone, subgroup: Optional[LatticeSubgroup] = None) -
     """Minimal generating set of the monoid ``c ∩ subgroup`` (c pointed).
 
     Everything is read in one frame, a basis of ``subgroup ∩ span(c)``: the
-    subgroup points on which every equality normal of c vanishes.  In it the
-    cone is full-dimensional in ``Z^d``; each ray is its primitive
-    coordinate vector there, and each facet normal f of c reads as the
+    subgroup points on which every one of ``c.equations`` vanishes.  In it
+    the cone is full-dimensional in ``Z^d``; each ray is its primitive
+    coordinate vector there, and each of ``c.facets`` f reads as the
     functional ``(b.f for b in frame)``.  Each linearly independent
     ``d``-subset S of rays contributes its rays and one point of each of the
     |det S| cosets of ``Z^d / Z<S>``, taken in the half-open parallelepiped
@@ -560,7 +552,7 @@ def hilbert_basis(c: RationalCone, subgroup: Optional[LatticeSubgroup] = None) -
         raise DimensionMismatchError("subgroup and cone have different ambient ranks")
     if not c.rays:
         return []
-    eq_rows = [tuple(dot(b, e) for b in subgroup.basis) for e in c._eq_normals]
+    eq_rows = [tuple(dot(b, e) for b in subgroup.basis) for e in c.equations]
     frame = [subgroup.member_vector(k) for k in integer_kernel_basis(eq_rows, subgroup.rank)]
     d = len(frame)
     coords: set[Vec] = set()
@@ -572,7 +564,7 @@ def hilbert_basis(c: RationalCone, subgroup: Optional[LatticeSubgroup] = None) -
             )
         coords.add(fraction_primitive(x))
     rays = sorted(coords)
-    normals = [primitive([dot(b, f) for b in frame]) for f in c._ineq_normals]
+    normals = [primitive([dot(b, f) for b in frame]) for f in c.facets]
     candidates = set(rays)
     for subset in combinations(rays, d):
         candidates.update(_parallelepiped_points(subset))

@@ -189,16 +189,15 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
+        if isinstance(exponent, bool) or not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = constant(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        if exponent == 0:
+            return constant(1)
+        result = self
+        for bit in bin(exponent)[3:]:  # square-and-multiply below the leading bit
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other) -> bool:
@@ -467,14 +466,6 @@ def divide(
     )
 
 
-def divide_exact(dividend: Polynomial, divisor: Polynomial) -> Optional[Polynomial]:
-    """Quotient when the division is exact, None when it is not."""
-    quotients, remainder = divide(dividend, [divisor])
-    if remainder.is_zero:
-        return quotients[0]
-    return None
-
-
 # ---------------------------------------------------------------------------
 # derivations
 
@@ -586,7 +577,8 @@ def exp_lnd(d: Derivation, parameter: str, bound: int = 8) -> dict[str, Polynomi
         factorial = 1
         for k, term in enumerate(chain[1:], start=1):
             factorial *= k
-            total = total + t**k * term * Fraction(1, factorial)
+            # t^k / k! as one monomial: one product per series term
+            total = total + term * Polynomial._make(t.variables, {(k,): Fraction(1, factorial)})
         out[v] = total
     return out
 

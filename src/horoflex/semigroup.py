@@ -43,8 +43,8 @@ class HorosphericalDatum:
     ``dominant_rank`` coordinates must be nonnegative.  Generators are
     deduplicated and stored sorted.  The cone data (``cone``,
     ``weight_lattice``, ``faces``) is computed once per datum, on first
-    use; grading witnesses are read off ``cone.facet_normals`` and each
-    face's ``zero_normals``, so no dual cone is built.
+    use; grading witnesses are read off ``cone.facets`` and each face's
+    ``zero_normals``, so no dual cone is built.
     """
 
     torus_rank: int
@@ -103,9 +103,9 @@ class _MembershipSolver:
 
     A functional strictly positive on the cone minus the origin drops by at
     least one on every generator subtraction, so the memoized descent
-    terminates.  The sum of the facet normals is one exactly when the cone
-    is pointed: a point of the cone on which every normal vanishes spans a
-    line in it.
+    terminates.  The sum of the facets is one exactly when the cone is
+    pointed: a point of the cone on which every facet vanishes spans a line
+    in it.
     """
 
     def __init__(self, gens: Sequence[Vec]):
@@ -120,7 +120,7 @@ class _MembershipSolver:
                 "semigroup membership: bounded search needs a pointed cone"
             )
         level = (0,) * self.rank
-        for f in self.cone.facet_normals:
+        for f in self.cone.facets:
             level = vadd(level, f)
         self.level = level
         for g in self.nonzero:
@@ -233,10 +233,10 @@ class OrbitFace:
 
 
 def orbit_faces(datum: HorosphericalDatum) -> list[OrbitFace]:
-    normals = datum.cone.facet_normals
+    facets = datum.cone.facets
     out = []
     for face in datum.faces:
-        zero = [normals[i] for i in face.zero_normals]
+        zero = [facets[i] for i in face.zero_normals]
         off = tuple(
             i
             for i, g in enumerate(datum.generators)
@@ -264,19 +264,18 @@ class GradingWitness:
 def grading_for_face(datum: HorosphericalDatum, face: FaceDescriptor) -> GradingWitness:
     """Witness functional for one face: a relative-interior point of the dual face.
 
-    Built as the sum of the facet normals vanishing on the face, cleared to
-    a primitive integer vector.  Those normals and the +/- pairs of
-    equality normals generate the dual face, so their sum lies in its
-    relative interior; the pairs cancel.  For the full cone only the pairs
-    vanish and the zero functional is returned (the trivial witness).
+    Built as the sum of the facets vanishing on the face, cleared to a
+    primitive integer vector.  Those facets and the lines spanned by the
+    equations generate the dual face, so the sum lies in its relative
+    interior.  No facet vanishes on the full cone, so there the zero
+    functional is returned (the trivial witness).
     """
     cone = datum.cone
     if not is_pointed(cone):
         raise NonPointedError("grading witnesses require a pointed cone")
     if face not in datum._face_set:
         raise ValueError("the given face does not belong to the cone's face lattice")
-    normals = cone.facet_normals
-    zero = [normals[i] for i in face.zero_normals]
+    zero = [cone.facets[i] for i in face.zero_normals]
     total = (0,) * datum.ambient_rank
     for f in zero:
         total = vadd(total, f)

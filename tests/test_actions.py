@@ -20,6 +20,8 @@ def test_weights_validated():
         DiagonalTorusAction(("x", "x"), (1, 2))
     with pytest.raises(ValueError):
         DiagonalTorusAction(("x",), (1,), cyclic_order=0)
+    with pytest.raises(ValueError):
+        DiagonalTorusAction(("x", "y"), (1, 2), True)
 
 
 def test_cyclic_weights_normalized():
@@ -38,6 +40,8 @@ def test_monomial_weight_tuple_and_mapping():
         monomial_weight(SCALE, {"x": 2, "y": 1})
     with pytest.raises(ValueError):
         monomial_weight(SCALE, {"w": 1})
+    with pytest.raises(ValueError):
+        monomial_weight(SCALE, (True, False))
 
 
 def test_is_invariant():

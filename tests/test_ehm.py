@@ -14,12 +14,12 @@ from horoflex.ehm import (
     COORDINATES,
     SPECIAL_POINT,
     build_ehm,
+    check_special_point,
+    check_weight_identity,
     determinant_relation,
     enumerate_invariant_monomials,
     sl2_substitution,
     verify_actions_on_hypersurface,
-    verify_special_point,
-    verify_weight_identity,
 )
 from horoflex.poly import parse_polynomial, variable
 from oracles import brute_force_monomials
@@ -162,7 +162,8 @@ def test_ehm_report_enumerates_once(monkeypatch):
 
 def test_weight_identity_all_params():
     for p, q, m in PARAMS:
-        report = verify_weight_identity(build_ehm(p, q, m), 10)
+        d = build_ehm(p, q, m)
+        report = check_weight_identity(d, enumerate_invariant_monomials(d, 10))
         assert report.ok
         assert report.failure is None
 
@@ -184,13 +185,13 @@ def test_weight_identity_recomputed_independently():
 
 def test_special_point_reports():
     d = build_ehm(1, 2, 1)
-    report = verify_special_point(d, 10)
+    report = check_special_point(d, enumerate_invariant_monomials(d, 10))
     assert report.all_ok
     assert report.monomial_exponents == (2, 0, 1, 0, 0)
     assert report.value_at_point == 1
 
     d = build_ehm(2, 3, 4)
-    report = verify_special_point(d, 10)
+    report = check_special_point(d, enumerate_invariant_monomials(d, 10))
     assert report.all_ok
     assert report.monomial_exponents == (12, 0, 8, 0, 0)
 

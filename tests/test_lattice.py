@@ -241,7 +241,11 @@ def test_cone_contains():
 
 def test_facet_normals_frozen():
     c = RationalCone([(1, 0), (1, 2)], 2)
-    assert sorted(c.facet_normals) == [(0, 1), (2, -1)]
+    assert c.facets == ((0, 1), (2, -1))
+    assert c.equations == ()
+    flat = RationalCone([(1, 0, 0), (0, 1, 0)], 3)
+    assert flat.facets == ((0, 1, 0), (1, 0, 0))
+    assert flat.equations == ((0, 0, 1),)
 
 
 def test_dual_cone_frozen():
@@ -476,7 +480,7 @@ def test_face_lattice_structure(gens):
         assert f.span_rays not in seen
         seen.add(f.span_rays)
         for i in f.zero_normals:
-            normal = c.facet_normals[i]
+            normal = c.facets[i]
             for j in f.span_rays:
                 assert dot(normal, c.rays[j]) == 0
 
@@ -509,10 +513,11 @@ def test_double_description_matches_dot_product_route(seed):
     # the carried zero-set masks must prune exactly as recomputed zero sets
     # do.  Cones of rank 1-5 from up to 8 generators in the span of 1..rank
     # random vectors (often not full-dimensional), a third with a line; the
-    # normals are the generators (the dual cone) and the cone's own facet
-    # normals (with ± equality pairs).  A seeded generator, because
-    # hypothesis's shrunk-toward-simple draws rarely reach the rank-4 and
-    # rank-5 cones with many facets where a wrong mask shows.
+    # normals are the generators (the dual cone) and the cone's own facets
+    # with a ± pair per equation, so lines reach the double description too.
+    # A seeded generator, because hypothesis's shrunk-toward-simple draws
+    # rarely reach the rank-4 and rank-5 cones with many facets where a
+    # wrong mask shows.
     rng = random.Random(seed)
     rank = rng.randint(1, 5)
     basis = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(rng.randint(1, rank))]
@@ -522,7 +527,9 @@ def test_double_description_matches_dot_product_route(seed):
         gens.append(tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(rank)))
     if rng.random() < 0.3:
         gens.append(tuple(-a for a in gens[0]))
-    for normals in (gens, RationalCone(gens, rank).facet_normals):
+    c = RationalCone(gens, rank)
+    pairs = [v for e in c.equations for v in (e, tuple(-a for a in e))]
+    for normals in (gens, sorted([*c.facets, *pairs])):
         lines, rays = generators_from_inequalities(normals, rank)
         ref_lines, ref_rays = double_description_by_dots(normals, rank)
         assert rays == ref_rays
@@ -534,10 +541,16 @@ def test_double_description_matches_dot_product_route(seed):
 def test_extreme_rays_and_face_incidence_match_rank_route(case):
     rank, gens = case
     c = RationalCone(gens, rank)
-    normals = c.facet_normals
+    normals = [*c.equations, *c.facets]
     lineality = list(c.lineality_basis)
     lin_dim = rank - rational_rank(normals)
     assert len(lineality) == lin_dim
+    # every equation vanishes on every ray; no facet does, and two facets
+    # vanish on different ray sets (irredundant)
+    assert all(dot(e, r) == 0 for e in c.equations for r in c.rays)
+    facet_zeros = [frozenset(r for r in c.rays if dot(f, r) == 0) for f in c.facets]
+    assert all(len(z) < len(c.rays) for z in facet_zeros)
+    assert len(set(facet_zeros)) == len(c.facets)
 
     def extreme(v):
         # the face of v spans the kernel of the normals tight at v
@@ -560,7 +573,7 @@ def test_extreme_rays_and_face_incidence_match_rank_route(case):
     for face in face_lattice(c):
         members = [c.rays[j] for j in face.span_rays]
         vanishing = tuple(
-            i for i, f in enumerate(normals) if all(dot(f, r) == 0 for r in members)
+            i for i, f in enumerate(c.facets) if all(dot(f, r) == 0 for r in members)
         )
         assert face.zero_normals == vanishing
         assert face.dim == rational_rank(members)

@@ -12,7 +12,6 @@ from horoflex.poly import (
     compose_substitutions,
     constant,
     divide,
-    divide_exact,
     exp_lnd,
     is_locally_nilpotent_bounded,
     parse_polynomial,
@@ -153,6 +152,30 @@ def test_constructor_rejects_bool_exponents():
 def test_power_rejects_negative():
     with pytest.raises(ValueError):
         X ** (-1)
+    with pytest.raises(ValueError):
+        X**True
+
+
+def test_power_multiplies_only_what_it_needs(monkeypatch):
+    # square-and-multiply: x^1 is x itself, x^2 one square, x^5 two squares
+    # and one product
+    base = X + 1
+    products = []
+    original = Polynomial.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    powers, counts = [], []
+    for k in (0, 1, 2, 5):
+        products.clear()
+        powers.append(base**k)
+        counts.append(len(products))
+    monkeypatch.undo()
+    assert counts == [0, 0, 1, 3]
+    assert powers == [constant(1), base, base * base, base * base * base * base * base]
 
 
 def test_partial_and_evaluate():
@@ -199,7 +222,7 @@ def test_str_is_reparseable_frozen():
 # division
 
 
-def test_divide_exact_determinant_pullback():
+def test_exact_division_of_determinant_pullback():
     x1, x2, x3, x4 = (variable(f"x{i}") for i in (1, 2, 3, 4))
     a, b, g, d = (variable(n) for n in ("alpha", "beta", "gamma", "delta"))
     det = x1 * x4 - x2 * x3
@@ -211,7 +234,7 @@ def test_divide_exact_determinant_pullback():
             "x4": g * x3 + d * x4,
         }
     )
-    assert divide_exact(pulled, det) == a * d - b * g
+    assert divide(pulled, [det]) == ([a * d - b * g], constant(0))
 
 
 def test_divide_remainder_invariants():
@@ -225,9 +248,9 @@ def test_divide_remainder_invariants():
     assert remainder == X + Y + 1
 
 
-def test_divide_exact_returns_none_on_failure():
-    assert divide_exact(X**2 + 1, X + 1) is None
-    assert divide_exact(X**2 - 1, X + 1) == X - 1
+def test_divide_by_one_divisor_leaves_remainder_when_not_exact():
+    assert divide(X**2 + 1, [X + 1]) == ([X - 1], constant(2))
+    assert divide(X**2 - 1, [X + 1]) == ([X - 1], constant(0))
 
 
 # ---------------------------------------------------------------------------
@@ -302,18 +325,34 @@ def test_nilpotency_rejects_non_integer_bounds(bound):
 
 def test_exp_lnd_applies_derivation_once_per_iterate(monkeypatch):
     # d^4(x) = d^2(y) = d(z) = 0 first: the certificate and the series share
-    # those 4 + 2 + 1 applications
+    # those 4 + 2 + 1 applications.  Outside the derivation's own products,
+    # the series multiplies once per term: 3 for x and 1 for y.
     d = Derivation({"x": Y**2, "y": Z, "z": constant(0)})
     calls = []
+    inside = []
+    products = []
     original = Derivation.apply
+    original_mul = Polynomial.__mul__
+
+    def counting_mul(self, other):
+        if not inside:
+            products.append(other)
+        return original_mul(self, other)
 
     def counting(self, p):
         calls.append(p)
-        return original(self, p)
+        inside.append(p)
+        try:
+            return original(self, p)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(Derivation, "apply", counting)
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
     e = exp_lnd(d, "t")
     assert len(calls) == 7
+    assert len(products) == 4
+    monkeypatch.undo()
     t = variable("t")
     assert e["x"] == X + t * Y**2 + t**2 * Y * Z + Fraction(1, 3) * t**3 * Z**2
     assert e["y"] == Y + t * Z

@@ -199,6 +199,16 @@ def test_grading_witnesses_veronese_frozen():
     verify_check_report(build_check_report(spec_of(VERONESE)))
 
 
+def test_grading_witnesses_on_a_flat_cone():
+    # the equation x3 = 0 holds on the whole cone; no facet vanishes there,
+    # so the whole cone's witness is the zero functional
+    flat = HorosphericalDatum(3, 0, [[1, 0, 0], [0, 1, 0]])
+    assert flat.faces[-1].zero_normals == ()
+    witnesses = [grading_for_face(flat, f) for f in flat.faces]
+    assert [w.functional for w in witnesses] == [(1, 1, 0), (1, 0, 0), (0, 1, 0), (0, 0, 0)]
+    assert witnesses[-1].generator_weights == (0, 0)
+
+
 def test_grading_rejects_foreign_face():
     foreign = face_lattice(PLANE.cone)[1]
     with pytest.raises(ValueError):
