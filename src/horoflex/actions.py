@@ -8,42 +8,40 @@ exponents, so invariance checks are decidable term by term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .poly import Polynomial
 
 
-@dataclass(frozen=True)
-class DiagonalTorusAction:
-    """Diagonal action: variable i gets weight weights[i] and, modulo
-    cyclic_order, the residue cyclic_weights[i]."""
-
+class _ActionFields(NamedTuple):
     variables: tuple[str, ...]
     weights: tuple[int, ...]
     cyclic_order: int = 1
     cyclic_weights: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
+
+class DiagonalTorusAction(_ActionFields):
+    """Diagonal action: variable i gets weight weights[i] and, modulo
+    cyclic_order, the residue cyclic_weights[i]."""
+
+    __slots__ = ()
+
+    def __new__(cls, variables: tuple[str, ...], weights: tuple[int, ...],
+                cyclic_order: int = 1, cyclic_weights: tuple[int, ...] = ()):
+        if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
-        if len(self.weights) != len(self.variables):
+        if len(weights) != len(variables):
             raise ValueError("one weight per variable is required")
-        order = self.cyclic_order
+        order = cyclic_order
         if isinstance(order, bool) or not isinstance(order, int) or order < 1:
             raise ValueError("cyclic_order must be a positive integer")
-        cyc = self.cyclic_weights
-        if not cyc:
-            cyc = (0,) * len(self.variables)
-        if len(cyc) != len(self.variables):
+        cyc = cyclic_weights or (0,) * len(variables)
+        if len(cyc) != len(variables):
             raise ValueError("one cyclic weight per variable is required")
-        object.__setattr__(
-            self, "cyclic_weights", tuple(c % self.cyclic_order for c in cyc)
-        )
+        return super().__new__(cls, variables, weights, order, tuple(c % order for c in cyc))
 
 
-@dataclass(frozen=True)
-class MonomialWeightReport:
+class MonomialWeightReport(NamedTuple):
     exponents: tuple[int, ...]
     gm_weight: int
     cyclic_residue: int

@@ -14,7 +14,7 @@ checks below are exact ideal-membership tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .poly import (
     HypersurfaceCheck,
@@ -65,8 +65,7 @@ def unit_specialization_exact() -> bool:
     return equation.substitute(specialized) == equation
 
 
-@dataclass(frozen=True)
-class CompositionReport:
+class CompositionReport(NamedTuple):
     """Per-coordinate residuals of the derived composition law.
 
     The law states (t, s) after (t', s') acts as (t t', s' + s t'^-2); it is

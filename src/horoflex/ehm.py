@@ -9,11 +9,10 @@ degree, the identities they are supposed to satisfy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .actions import DiagonalTorusAction, is_invariant, monomial_weight, semi_invariant_weight
 from .poly import HypersurfaceCheck, Polynomial, preserves_hypersurface, variable
@@ -22,8 +21,7 @@ COORDINATES = ("x1", "x2", "x3", "x4", "y")
 SPECIAL_POINT = {"x1": 1, "x2": 0, "x3": 1, "x4": 0, "y": 0}
 
 
-@dataclass(frozen=True)
-class EHMDatum:
+class EHMDatum(NamedTuple):
     """One member of the family, with derived constants and both actions."""
 
     p: int
@@ -66,8 +64,7 @@ def build_ehm(p: int, q: int, m: int) -> EHMDatum:
     return EHMDatum(p, q, m, k, a, b, equation, grading, twisted)
 
 
-@dataclass(frozen=True)
-class InvariantMonomial:
+class InvariantMonomial(NamedTuple):
     """Exponents (s, u, v, w, z) of a twist-invariant monomial and its
     weight under the grading action."""
 
@@ -110,8 +107,7 @@ def enumerate_invariant_monomials(datum: EHMDatum, degree_bound: int) -> list[In
     return out
 
 
-@dataclass(frozen=True)
-class WeightIdentityReport:
+class WeightIdentityReport(NamedTuple):
     ok: bool
     checked: int
     failure: Optional[tuple[int, int, int, int, int]]
@@ -139,8 +135,7 @@ def check_weight_identity(
     return WeightIdentityReport(True, len(monomials), None)
 
 
-@dataclass(frozen=True)
-class SpecialPointReport:
+class SpecialPointReport(NamedTuple):
     """Checks around the distinguished point (1, 0, 1, 0, 0).
 
     The point lies on the hypersurface; the monomial x1^(a*q) * x3^(a*p) is
@@ -199,8 +194,7 @@ def determinant_relation() -> Polynomial:
     return alpha * delta - beta * gamma - 1
 
 
-@dataclass(frozen=True)
-class HypersurfaceActionsReport:
+class HypersurfaceActionsReport(NamedTuple):
     """How the three symmetries treat the defining equation.
 
     The SL2 substitution fixes the equation modulo the determinant relation;

@@ -10,11 +10,10 @@ bulk polyhedral computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 Vec = tuple[int, ...]
 
@@ -245,8 +244,7 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> list[Vec]:
 # lattice subgroups
 
 
-@dataclass(frozen=True)
-class LatticeSubgroup:
+class LatticeSubgroup(NamedTuple):
     """Subgroup of Z^n given by a canonical (Hermite) basis.
 
     ``contains`` reduces a vector against the basis rows at their pivots;
@@ -467,8 +465,7 @@ def is_pointed(c: RationalCone) -> bool:
 # faces
 
 
-@dataclass(frozen=True)
-class FaceDescriptor:
+class FaceDescriptor(NamedTuple):
     """One face of a cone.
 
     ``zero_normals`` are the indices (into the cone's ``facets``) of every

@@ -14,10 +14,9 @@ check used to verify that a substitution preserves a hypersurface.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 PolyLike = Union["Polynomial", int, Fraction]
@@ -509,8 +508,7 @@ class Derivation:
         return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class NilpotencyCheck:
+class NilpotencyCheck(NamedTuple):
     """Outcome of the bounded local-nilpotency search.
 
     ``certified`` means every variable in the derivation's closure is killed
@@ -601,8 +599,7 @@ def compose_substitutions(
 # hypersurface preservation
 
 
-@dataclass(frozen=True)
-class HypersurfaceCheck:
+class HypersurfaceCheck(NamedTuple):
     """Certificate that a substitution maps (F) into (F) modulo a relation.
 
     ``preserved`` asserts F∘action = unit * F + modulus_quotient * modulus as

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .danielewski import (
     MAKAR_LIMANOV_NOTE,
@@ -36,7 +35,6 @@ from .semigroup import (
     HorosphericalDatum,
     flexibility_verdict,
     grading_for_face,
-    is_saturated,
     orbit_faces,
     saturate,
     units_exist,
@@ -64,27 +62,34 @@ class CorruptReportError(RuntimeError):
 # datum files
 
 
-@dataclass(frozen=True)
-class DatumSpec:
+class _SpecFields(NamedTuple):
+    torus_rank: int
+    dominant_rank: int
+    generators: tuple[tuple[int, ...], ...]
+    label: Optional[str] = None
+
+
+class DatumSpec(_SpecFields):
     """A datum file as written: generator order and label preserved.
 
     Construction validates the ranks and generators by building their
     canonical (sorted, deduplicated) HorosphericalDatum, and keeps it as
     ``datum``: every report made from one spec reads that datum's cone and
     face lattice, computed on first use.  Invalid data raises ValueError.
-    ``datum`` takes no part in equality; keeping the original order here
-    makes serialization lossless.
+    ``datum`` is not a field, so it takes no part in equality or ``repr``;
+    keeping the original order here makes serialization lossless.
     """
 
-    torus_rank: int
-    dominant_rank: int
-    generators: tuple[tuple[int, ...], ...]
-    label: Optional[str] = None
-    datum: HorosphericalDatum = field(init=False, compare=False, repr=False)
+    datum: HorosphericalDatum
 
-    def __post_init__(self) -> None:
-        datum = HorosphericalDatum(self.torus_rank, self.dominant_rank, self.generators)
-        object.__setattr__(self, "datum", datum)
+    def __new__(cls, torus_rank: int, dominant_rank: int,
+                generators: tuple[tuple[int, ...], ...], label: Optional[str] = None):
+        self = super().__new__(cls, torus_rank, dominant_rank, generators, label)
+        vars(self)["datum"] = HorosphericalDatum(torus_rank, dominant_rank, generators)
+        return self
+
+    def __setattr__(self, name, value):  # immutable
+        raise AttributeError("DatumSpec is immutable")
 
     def to_payload(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -521,7 +526,7 @@ def verify_check_report(
         raise CorruptReportError("; ".join(problems)) from None
     if datum is None:
         datum = parsed
-    elif datum != parsed:  # dataclass equality: ranks and sorted generators
+    elif datum != parsed:  # field equality: ranks and sorted generators
         problems.append("report input is not the datum it was built from")
         datum = parsed
     if not _exact(report.get("canonical_generators"), [list(g) for g in datum.generators]):

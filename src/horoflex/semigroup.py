@@ -11,9 +11,8 @@ one integer grading functional per face.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .lattice import (
     FaceDescriptor,
@@ -30,13 +29,17 @@ from .lattice import (
     is_zero_vec,
     primitive,
     vadd,
-    vscale,
     vsub,
 )
 
 
-@dataclass(frozen=True)
-class HorosphericalDatum:
+class _DatumFields(NamedTuple):
+    torus_rank: int
+    dominant_rank: int
+    generators: tuple[Vec, ...]
+
+
+class HorosphericalDatum(_DatumFields):
     """Finitely generated semigroup of weights, with dominance enforced.
 
     ``generators`` live in rank ``torus_rank + dominant_rank``; the last
@@ -47,11 +50,7 @@ class HorosphericalDatum:
     ``zero_normals``, so no dual cone is built.
     """
 
-    torus_rank: int
-    dominant_rank: int
-    generators: tuple[Vec, ...]
-
-    def __init__(self, torus_rank: int, dominant_rank: int, generators: Sequence[Sequence[int]]):
+    def __new__(cls, torus_rank: int, dominant_rank: int, generators: Sequence[Sequence[int]]):
         for name, value in (("torus_rank", torus_rank), ("dominant_rank", dominant_rank)):
             if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise ValueError(f"{name} must be a nonnegative integer")
@@ -69,9 +68,10 @@ class HorosphericalDatum:
             vecs.append(v)
         if not vecs:
             raise ValueError("at least one generator is required")
-        object.__setattr__(self, "torus_rank", torus_rank)
-        object.__setattr__(self, "dominant_rank", dominant_rank)
-        object.__setattr__(self, "generators", tuple(sorted(set(vecs))))
+        return super().__new__(cls, torus_rank, dominant_rank, tuple(sorted(set(vecs))))
+
+    def __setattr__(self, name, value):  # immutable
+        raise AttributeError("HorosphericalDatum is immutable")
 
     @property
     def ambient_rank(self) -> int:
@@ -168,8 +168,7 @@ def semigroup_member(gens: Sequence[Sequence[int]], target: Sequence[int]) -> bo
 # saturation and units
 
 
-@dataclass(frozen=True)
-class SaturationCheck:
+class SaturationCheck(NamedTuple):
     saturated: bool
     gap: Optional[Vec]
 
@@ -220,8 +219,7 @@ def units_exist(datum: HorosphericalDatum) -> bool:
 # orbits and gradings
 
 
-@dataclass(frozen=True)
-class OrbitFace:
+class OrbitFace(NamedTuple):
     """A face of the weight cone together with the generators off the face.
 
     The off-face generators span the weights of the vanishing ideal of the
@@ -246,8 +244,7 @@ def orbit_faces(datum: HorosphericalDatum) -> list[OrbitFace]:
     return out
 
 
-@dataclass(frozen=True)
-class GradingWitness:
+class GradingWitness(NamedTuple):
     """Integer grading functional certifying one orbit.
 
     The functional vanishes on the generators lying on the face and is >= 1
@@ -303,8 +300,7 @@ class FlexStatus(enum.Enum):
     NOT_COVERED_UNITS_EXIST = "NotCovered_UnitsExist"
 
 
-@dataclass(frozen=True)
-class FlexibilityVerdict:
+class FlexibilityVerdict(NamedTuple):
     status: FlexStatus
     witnesses: tuple[GradingWitness, ...]
     saturation_gap: Optional[Vec]

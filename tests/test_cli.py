@@ -1,6 +1,8 @@
 import copy
-import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -597,9 +599,7 @@ def _corrupt_witness_degrees(monkeypatch):
 
     def corrupted(datum, face):
         witness = original(datum, face)
-        return dataclasses.replace(
-            witness, generator_weights=(9,) * len(witness.generator_weights)
-        )
+        return witness._replace(generator_weights=(9,) * len(witness.generator_weights))
 
     monkeypatch.setattr(semigroup_module, "grading_for_face", corrupted)
     monkeypatch.setattr(reporting_module, "grading_for_face", corrupted)
@@ -696,3 +696,21 @@ def test_json_emitter_rejects_what_reports_never_hold(value):
     with pytest.raises(TypeError):
         _json(value)
 
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Records are NamedTuples, so starting any command loads no module that
+    generates class code (``dataclasses``, and ``inspect`` behind it)."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import horoflex.cli\n"
+        "print(json.dumps([horoflex.cli.__file__, sorted({'dataclasses', 'inspect'} & set(sys.modules))]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-E", "-s", "-c", code, src], capture_output=True, text=True, check=True
+    )
+    path, loaded = json.loads(proc.stdout)
+    assert os.path.dirname(os.path.dirname(path)) == src
+    assert loaded == []
