@@ -6,9 +6,13 @@ never a ``float`` or a ``bool``.  Integral polynomials, nearly all of those
 this package builds, so add and multiply in int arithmetic.  The variable
 universe of a polynomial is kept sorted by name so that the graded
 lexicographic order (and with it every division result) is independent of
-construction order.  Also provides derivations, a bounded local-nilpotency
-certificate, exponentials of certified derivations, and the divisibility
-check used to verify that a substitution preserves a hypersurface.
+construction order.  Substitution lifts each image onto the result's
+universe once and sums every term's product into one dict.  Also provides
+derivations, a bounded local-nilpotency certificate, exponentials of
+certified derivations, and the divisibility check used to verify that a
+substitution preserves a hypersurface.  A derivation keeps the iterates that
+certified it, so certifying it and then exponentiating it, once or many
+times, applies it once per iterate.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from operator import add
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -26,8 +31,30 @@ class PolynomialSyntaxError(ValueError):
     """Text that does not match the documented polynomial grammar."""
 
 
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _check_name(name: str) -> None:
+    if not _NAME.fullmatch(name):
+        raise ValueError(f"not a valid variable name: {name!r}")
+
+
 def _grlex(e: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (sum(e), e)
+
+
+def _times(
+    a: Mapping[tuple[int, ...], Scalar], b: Mapping[tuple[int, ...], Scalar]
+) -> dict[tuple[int, ...], Scalar]:
+    """Product of two term dicts on one universe; zero sums are kept."""
+    out: dict[tuple[int, ...], Scalar] = {}
+    get = out.get
+    b = b.items()
+    for ea, ca in a.items():
+        for eb, cb in b:
+            key = tuple(map(add, ea, eb))
+            out[key] = get(key, 0) + ca * cb
+    return out
 
 
 def _coefficient(value: Scalar) -> Scalar:
@@ -52,7 +79,8 @@ class Polynomial:
     ``3 == Fraction(3)`` and both hash and print alike; ``constant_value``
     and ``evaluate`` return a ``Fraction`` either way.  Coefficients given
     to the constructor must be ints or Fractions; floats and bools are
-    refused.
+    refused.  Variable names are identifiers, as ``variable`` and the parser
+    take them.
     """
 
     __slots__ = ("variables", "terms")
@@ -63,6 +91,8 @@ class Polynomial:
         terms: Mapping[tuple[int, ...], Scalar],
     ):
         names = tuple(variables)
+        for name in names:
+            _check_name(name)
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
         order = tuple(sorted(names))
@@ -176,14 +206,9 @@ class Polynomial:
     def __mul__(self, other: PolyLike) -> "Polynomial":
         other = Polynomial._coerce(other)
         universe = Polynomial._merge_universe(self, other)
-        b = other._terms_on(universe).items()
-        out: dict[tuple[int, ...], Scalar] = {}
-        get = out.get
-        for ea, ca in self._terms_on(universe).items():
-            for eb, cb in b:
-                key = tuple(map(add, ea, eb))
-                out[key] = get(key, 0) + ca * cb
-        return Polynomial._make(universe, out)
+        return Polynomial._make(
+            universe, _times(self._terms_on(universe), other._terms_on(universe))
+        )
 
     __rmul__ = __mul__
 
@@ -236,30 +261,36 @@ class Polynomial:
     def substitute(self, assignment: Mapping[str, PolyLike]) -> "Polynomial":
         """Ring homomorphism determined by the assignment.
 
-        Variables absent from the assignment map to themselves; the variable
-        universe of the result is whatever the images introduce.
+        Variables absent from the assignment map to themselves.  The variable
+        universe of the result is the union of the universes of the images of
+        the variables that occur with a nonzero exponent.
         """
         images = {v: Polynomial._coerce(img) for v, img in assignment.items()}
-        powers: dict[str, list[Polynomial]] = {}
-
-        def power(v: str, k: int) -> Polynomial:
-            base = images.get(v)
-            if base is None:
-                base = variable(v)
-                images[v] = base
-            cache = powers.setdefault(v, [constant(1)])
-            while len(cache) <= k:
-                cache.append(cache[-1] * base)
-            return cache[k]
-
-        total = constant(0)
+        bases = {}
+        for i, v in enumerate(self.variables):
+            if any(e[i] for e in self.terms):
+                img = images.get(v)
+                bases[i] = img if img is not None else Polynomial._make((v,), {(1,): 1})
+        universe = tuple(sorted({u for img in bases.values() for u in img.variables}))
+        one = (0,) * len(universe)
+        # powers[i][k] is the term dict of (image of variable i)^k on the universe
+        powers = {i: [{one: 1}, img.on_universe(universe)] for i, img in bases.items()}
+        out: dict[tuple[int, ...], Scalar] = {}
+        get = out.get
         for e, c in self.terms.items():
-            term = constant(c)
-            for v, x in zip(self.variables, e):
+            product = None
+            for i, x in enumerate(e):
                 if x:
-                    term = term * power(v, x)
-            total = total + term
-        return total
+                    chain = powers[i]
+                    while len(chain) <= x:
+                        chain.append(_times(chain[-1], chain[1]))
+                    product = chain[x] if product is None else _times(product, chain[x])
+            if product is None:
+                out[one] = get(one, 0) + c
+                continue
+            for key, a in product.items():
+                out[key] = get(key, 0) + c * a
+        return Polynomial._make(universe, out)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Value at a rational point; raises if a needed variable is missing."""
@@ -295,8 +326,7 @@ class Polynomial:
 
 
 def variable(name: str) -> Polynomial:
-    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
-        raise ValueError(f"not a valid variable name: {name!r}")
+    _check_name(name)
     return Polynomial._make((name,), {(1,): 1})
 
 
@@ -310,7 +340,7 @@ def constant(value: Scalar) -> Polynomial:
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()]))"
+    rf"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>{_NAME.pattern})|(?P<op>[-+*^()]))"
 )
 
 
@@ -473,18 +503,19 @@ class Derivation:
     """Derivation of a polynomial ring, given by images of variables.
 
     Variables missing from ``images`` are sent to zero; the extension to all
-    polynomials is forced by additivity and the Leibniz rule.
+    polynomials is forced by additivity and the Leibniz rule.  The derivation
+    keeps, per variable, the iterates v, d(v), ... once some d^k(v) is zero,
+    so ``images`` is a read-only view.
     """
 
-    __slots__ = ("images",)
+    __slots__ = ("images", "_chains")
 
     def __init__(self, images: Mapping[str, PolyLike]):
-        cleaned = {}
-        for v, img in sorted(images.items()):
-            if not isinstance(v, str):
-                raise TypeError("derivation keys must be variable names")
-            cleaned[v] = Polynomial._coerce(img)
-        object.__setattr__(self, "images", cleaned)
+        if not all(isinstance(v, str) for v in images):
+            raise TypeError("derivation keys must be variable names")
+        cleaned = {v: Polynomial._coerce(img) for v, img in sorted(images.items())}
+        object.__setattr__(self, "images", MappingProxyType(cleaned))
+        object.__setattr__(self, "_chains", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Derivation is immutable")
@@ -525,19 +556,28 @@ class NilpotencyCheck(NamedTuple):
 
 def _nilpotent_chains(d: Derivation, bound: int) -> Optional[dict[str, list[Polynomial]]]:
     """Per closure variable v, the nonzero iterates v, d(v), ..., d^(k-1)(v)
-    for the least k <= bound with d^k(v) = 0; None if some variable has none."""
+    for the least k <= bound with d^k(v) = 0; None if some variable has none.
+
+    Complete chains are kept on the derivation and answer any later bound.
+    """
     if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
         raise ValueError("bound must be a positive integer")
+    known = d._chains
     chains = {}
     for v in d.closure_variables():
-        cur = variable(v)
-        chain = [cur]
-        for _ in range(bound):
-            cur = d.apply(cur)
-            if cur.is_zero:
-                break
-            chain.append(cur)
-        else:
+        chain = known.get(v)
+        if chain is None:
+            cur = variable(v)
+            chain = [cur]
+            for _ in range(bound):
+                cur = d.apply(cur)
+                if cur.is_zero:
+                    break
+                chain.append(cur)
+            else:
+                return None
+            known[v] = chain
+        elif len(chain) > bound:
             return None
         chains[v] = chain
     return chains
@@ -558,8 +598,9 @@ def exp_lnd(d: Derivation, parameter: str, bound: int = 8) -> dict[str, Polynomi
     Each variable maps to the finite series sum_k parameter^k d^k(v) / k!; the
     derivation must certify locally nilpotent at the given bound, otherwise
     this raises.  The parameter must be a fresh variable name.  The series is
-    summed from the iterates that certify nilpotency, so d is applied
-    sum_v k_v times in all, where d^(k_v)(v) = 0 first.
+    summed from the iterates that certify nilpotency, which the derivation
+    keeps: d is applied sum_v k_v times in all, where d^(k_v)(v) = 0 first,
+    however often the derivation is certified or exponentiated.
     """
     chains = _nilpotent_chains(d, bound)
     if chains is None:
@@ -568,16 +609,22 @@ def exp_lnd(d: Derivation, parameter: str, bound: int = 8) -> dict[str, Polynomi
         )
     if parameter in chains:
         raise ValueError(f"parameter {parameter!r} collides with a ring variable")
-    t = variable(parameter)
+    _check_name(parameter)
     out = {}
     for v, chain in chains.items():
-        total = chain[0]
+        if len(chain) == 1:
+            out[v] = chain[0]
+            continue
+        universe = tuple(sorted({parameter}.union(*(term.variables for term in chain))))
+        at = universe.index(parameter)
+        # the term c*m of d^k(v) becomes c/k! * t^k * m
+        terms: dict[tuple[int, ...], Scalar] = {}
         factorial = 1
-        for k, term in enumerate(chain[1:], start=1):
-            factorial *= k
-            # t^k / k! as one monomial: one product per series term
-            total = total + term * Polynomial._make(t.variables, {(k,): Fraction(1, factorial)})
-        out[v] = total
+        for k, term in enumerate(chain):
+            factorial *= k or 1
+            for e, c in term.on_universe(universe).items():
+                terms[e[:at] + (k,) + e[at + 1:]] = c if factorial == 1 else Fraction(c, factorial)
+        out[v] = Polynomial._make(universe, terms)
     return out
 
 

@@ -149,6 +149,17 @@ def test_constructor_rejects_bool_exponents():
         Polynomial(["x", "y"], {(1, False): 1})
 
 
+@pytest.mark.parametrize("name", ["", "x y", "2x", "x-1", "x\n", "é"])
+def test_constructor_rejects_invalid_variable_names(name):
+    # the names variable() refuses, so str() of every polynomial parses back
+    with pytest.raises(ValueError, match="not a valid variable name"):
+        Polynomial((name,), {(2,): 3})
+    with pytest.raises(ValueError, match="not a valid variable name"):
+        Polynomial(("x", name), {(1, 1): 1})
+    with pytest.raises(ValueError, match="not a valid variable name"):
+        variable(name)
+
+
 def test_power_rejects_negative():
     with pytest.raises(ValueError):
         X ** (-1)
@@ -262,6 +273,9 @@ def test_derivation_images_and_apply():
     assert d.apply(X**2) == 2 * X * Y
     assert d.apply(X * Y) == Y**2
     assert d.apply(constant(5)).is_zero
+    # keys are checked before they are sorted, so mixed types do not reach the sort
+    with pytest.raises(TypeError, match="derivation keys must be variable names"):
+        Derivation({1: X, "y": Y})
 
 
 def test_leibniz_rule_frozen():
@@ -326,7 +340,7 @@ def test_nilpotency_rejects_non_integer_bounds(bound):
 def test_exp_lnd_applies_derivation_once_per_iterate(monkeypatch):
     # d^4(x) = d^2(y) = d(z) = 0 first: the certificate and the series share
     # those 4 + 2 + 1 applications.  Outside the derivation's own products,
-    # the series multiplies once per term: 3 for x and 1 for y.
+    # the series multiplies nothing: each term is re-keyed into one dict.
     d = Derivation({"x": Y**2, "y": Z, "z": constant(0)})
     calls = []
     inside = []
@@ -351,12 +365,66 @@ def test_exp_lnd_applies_derivation_once_per_iterate(monkeypatch):
     monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
     e = exp_lnd(d, "t")
     assert len(calls) == 7
-    assert len(products) == 4
+    assert len(products) == 0
     monkeypatch.undo()
     t = variable("t")
     assert e["x"] == X + t * Y**2 + t**2 * Y * Z + Fraction(1, 3) * t**3 * Z**2
     assert e["y"] == Y + t * Z
     assert e["z"] == Z
+
+
+def counting_applications(monkeypatch):
+    calls = []
+    original = Derivation.apply
+
+    def counting(self, p):
+        calls.append(p)
+        return original(self, p)
+
+    monkeypatch.setattr(Derivation, "apply", counting)
+    return calls
+
+
+def test_derivation_keeps_its_iterates(monkeypatch):
+    d = Derivation({"x": Y**2, "y": Z, "z": constant(0)})
+    calls = counting_applications(monkeypatch)
+    check = is_locally_nilpotent_bounded(d, 8)
+    flows = [exp_lnd(d, name) for name in ("t", "s", "u")]
+    # 4 + 2 + 1 applications for the certificate, none for the three series
+    assert len(calls) == 7
+    monkeypatch.undo()
+    # the stored iterates stay true: the images cannot be changed under them
+    with pytest.raises(TypeError):
+        d.images["x"] = X
+    fresh = Derivation(d.images)
+    assert check == is_locally_nilpotent_bounded(fresh, 8)
+    assert flows == [exp_lnd(fresh, name) for name in ("t", "s", "u")]
+
+
+def test_stored_iterates_answer_each_bound(monkeypatch):
+    d = Derivation({"x": Y**2, "y": Z, "z": constant(0)})
+    assert is_locally_nilpotent_bounded(d, 64).certified
+    calls = counting_applications(monkeypatch)
+    # x needs 4 applications: a success at 64 does not certify bound 2 or 3
+    for bound in (1, 2, 3, 4, 64):
+        fresh = Derivation(d.images)
+        assert is_locally_nilpotent_bounded(d, bound) == is_locally_nilpotent_bounded(fresh, bound)
+    calls.clear()
+    assert not is_locally_nilpotent_bounded(d, 2).certified
+    with pytest.raises(ValueError, match="not certified"):
+        exp_lnd(d, "t", 2)
+    assert is_locally_nilpotent_bounded(d, 4).order == 4
+    assert calls == []
+    # bounds and parameters are still validated before the stored chains answer
+    for bound in (0, True, 1.5):
+        with pytest.raises(ValueError, match="positive integer"):
+            is_locally_nilpotent_bounded(d, bound)
+        with pytest.raises(ValueError, match="positive integer"):
+            exp_lnd(d, "t", bound)
+    with pytest.raises(ValueError, match="not a valid variable name"):
+        exp_lnd(d, "t u")
+    with pytest.raises(ValueError, match="collides"):
+        exp_lnd(d, "y")
 
 
 def test_exp_lnd_group_law_frozen():
@@ -500,6 +568,94 @@ def test_division_recomposition_matches_sympy_rational(seed):
         to_sympy(q) * to_sympy(d) for q, d in zip(quotients, divisors)
     )
     assert sympy.expand(recomposed - to_sympy(dividend)) == 0
+
+
+def as_sympy(value):
+    if isinstance(value, Polynomial):
+        return to_sympy(value)
+    return sympy.Rational(value.numerator, value.denominator)
+
+
+def random_assignment(rng, names, pool=("x", "y", "z", "u", "w")):
+    """Images for a random subset of the names: scalars, or polynomials over a
+    random part of the pool, which shares some names and brings new ones."""
+    out = {}
+    for name in names:
+        if rng.random() < 0.3:
+            continue
+        if rng.random() < 0.2:
+            out[name] = random_coefficient(rng)
+        else:
+            over = rng.sample(pool, rng.randint(0, 3))
+            out[name] = random_poly(rng, names=over, max_terms=3, max_deg=2)
+    return out
+
+
+def substituted_universe(p, assignment):
+    """Union of the universes of the images of the variables that occur in p
+    with a nonzero exponent; a variable with no image maps to itself."""
+    names = set()
+    for i, v in enumerate(p.variables):
+        if any(e[i] for e in p.terms):
+            img = assignment.get(v, variable(v))
+            names.update(img.variables if isinstance(img, Polynomial) else ())
+    return tuple(sorted(names))
+
+
+def sympy_substitute(p, assignment):
+    return sympy.expand(
+        to_sympy(p).xreplace({sympy.Symbol(v): as_sympy(img) for v, img in assignment.items()})
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_substitute_matches_sympy(seed):
+    rng = random.Random(seed)
+    p = random_poly(rng, names=("x", "y", "z"), max_terms=5)
+    assignment = random_assignment(rng, ("x", "y", "z"))
+    image = p.substitute(assignment)
+    assert to_sympy(image) == sympy_substitute(p, assignment)
+    assert image.variables == substituted_universe(p, assignment)
+    assert_coefficients_normal(image)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_compose_substitutions_matches_sympy(seed):
+    rng = random.Random(seed)
+    names = ("x", "y", "z")
+    first = random_assignment(rng, names)
+    second = {
+        v: random_poly(rng, names=rng.sample(names, rng.randint(0, 3)), max_terms=3, max_deg=2)
+        for v in names
+        if rng.random() < 0.7
+    }
+    composed = compose_substitutions(second, first)
+    assert set(composed) == set(second) | set(first)
+    for v, img in composed.items():
+        if v in second:
+            assert to_sympy(img) == sympy_substitute(second[v], first)
+            assert img.variables == substituted_universe(second[v], first)
+        else:
+            assert img == first[v]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_evaluate_matches_sympy(seed):
+    rng = random.Random(seed)
+    p = random_poly(rng, names=("x", "y", "z"), max_terms=5)
+    # a partial point: evaluation succeeds exactly when what is left is constant
+    point = {v: random_coefficient(rng, 7) for v in ("x", "y", "z", "w") if rng.random() < 0.8}
+    expected = sympy_substitute(p, point)
+    if expected.free_symbols:
+        with pytest.raises(ValueError, match="not constant"):
+            p.evaluate(point)
+    else:
+        value = p.evaluate(point)
+        assert type(value) is Fraction
+        assert sympy.Rational(value.numerator, value.denominator) == expected
 
 
 @settings(max_examples=30, deadline=None)
