@@ -380,10 +380,11 @@ class RationalCone:
     cone, empty when it is full-dimensional; ``facets`` are the sorted,
     primitive, irredundant inequality normals, one per facet, none of them
     vanishing on the whole cone.  ``lineality_basis`` is a Hermite basis of
-    the lines in the cone, empty when it is pointed.
+    the lines in the cone, empty when it is pointed.  ``zero_sets`` maps each
+    primitive generator and ray to its zero set on ``facets`` (bit k: facet k).
     """
 
-    __slots__ = ("ambient_rank", "rays", "equations", "facets", "lineality_basis")
+    __slots__ = ("ambient_rank", "rays", "equations", "facets", "lineality_basis", "zero_sets")
 
     def __init__(self, rays: Sequence[Sequence[int]], ambient_rank: Optional[int] = None):
         vecs = [as_vector(r) for r in rays]
@@ -402,7 +403,9 @@ class RationalCone:
         object.__setattr__(self, "facets", tuple(ineq))
         lineality = integer_kernel_basis(eq + ineq, ambient_rank)
         object.__setattr__(self, "lineality_basis", tuple(lineality))
-        object.__setattr__(self, "rays", _canonical_rays(vecs, ineq, lineality))
+        rays, zero_sets = _canonical_rays(vecs, ineq, lineality)
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "zero_sets", zero_sets)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("RationalCone is immutable")
@@ -428,22 +431,18 @@ class RationalCone:
 
 def _canonical_rays(
     gens: list[Vec], ineq: Sequence[Vec], lineality: Sequence[Vec]
-) -> tuple[Vec, ...]:
-    # the generators lie in the span, so the inequalities alone decide
-    # extremality; on the span only the lineality space has every value 0, so
-    # the primitive value vector names a ray modulo the lineality space
-    values = {g: tuple(dot(f, g) for f in ineq) for g in gens}
-    zeros = {g: sum(1 << i for i, a in enumerate(vals) if a == 0) for g, vals in values.items()}
-    chosen: dict[Vec, Vec] = {}
-    for g in _extreme(zeros, (1 << len(ineq)) - 1):
-        key = primitive(values[g])
-        if key not in chosen or g < chosen[key]:
-            chosen[key] = g
-    rays = list(chosen.values())
-    for line in lineality:
-        rays.append(line)
-        rays.append(vneg(line))
-    return tuple(sorted(rays))
+) -> tuple[tuple[Vec, ...], dict[Vec, int]]:
+    """The rays and each generator's and ray's zero set on ``ineq``: extreme
+    generators share a ray modulo the lineality space exactly when they share
+    a zero set, and the least of them (``gens`` is sorted) is the ray."""
+    zeros = {g: sum(1 << i for i, f in enumerate(ineq) if dot(f, g) == 0) for g in gens}
+    full = (1 << len(ineq)) - 1
+    chosen: dict[int, Vec] = {}
+    for g, z in _extreme(zeros, full).items():
+        chosen.setdefault(z, g)
+    lines = [r for line in lineality for r in (line, vneg(line))]
+    zeros.update(dict.fromkeys(lines, full))
+    return tuple(sorted([*chosen.values(), *lines])), zeros
 
 
 def dual_cone(c: RationalCone) -> RationalCone:
@@ -484,16 +483,17 @@ def face_lattice(c: RationalCone) -> list[FaceDescriptor]:
 
     Faces are intersections of facets; the meet-closure of the whole ray set
     and the ray sets of the facets enumerates them all.  Ray sets are int
-    bitmasks.  A facet vanishes on a face exactly when its ray set contains
-    the face's.  The face lattice is graded (Ziegler, *Lectures on
-    Polytopes*, §2.2): visiting ray sets subsets first, a face is one
-    dimension above its largest proper subfaces, and the minimal face, the
-    lineality space, has the dimension of its basis.  For a pointed cone
-    that is the zero face, with an empty ``span_rays``.
+    bitmasks, each facet's read off the rays' ``zero_sets``.  A facet vanishes
+    on a face exactly when its ray set contains the face's.  The face lattice
+    is graded (Ziegler, *Lectures on Polytopes*, §2.2): visiting ray sets
+    subsets first, a face is one dimension above its largest proper subfaces,
+    and the minimal face, the lineality space, has the dimension of its basis.
+    For a pointed cone that is the zero face, with an empty ``span_rays``.
     """
     rays = c.rays
+    masks = [c.zero_sets[r] for r in rays]
     normal_sets = [
-        sum(1 << j for j, r in enumerate(rays) if dot(f, r) == 0) for f in c.facets
+        sum(1 << j for j, z in enumerate(masks) if z >> i & 1) for i in range(len(c.facets))
     ]
     ray_sets = {(1 << len(rays)) - 1, *normal_sets}
     work = list(ray_sets)

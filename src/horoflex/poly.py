@@ -35,6 +35,8 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _check_name(name: str) -> None:
+    if not isinstance(name, str):
+        raise TypeError(f"variable names must be strings, got {name!r}")
     if not _NAME.fullmatch(name):
         raise ValueError(f"not a valid variable name: {name!r}")
 
@@ -513,6 +515,8 @@ class Derivation:
     def __init__(self, images: Mapping[str, PolyLike]):
         if not all(isinstance(v, str) for v in images):
             raise TypeError("derivation keys must be variable names")
+        for v in images:
+            _check_name(v)
         cleaned = {v: Polynomial._coerce(img) for v, img in sorted(images.items())}
         object.__setattr__(self, "images", MappingProxyType(cleaned))
         object.__setattr__(self, "_chains", {})
@@ -607,9 +611,9 @@ def exp_lnd(d: Derivation, parameter: str, bound: int = 8) -> dict[str, Polynomi
         raise ValueError(
             f"derivation is not certified locally nilpotent within bound {bound}"
         )
+    _check_name(parameter)
     if parameter in chains:
         raise ValueError(f"parameter {parameter!r} collides with a ring variable")
-    _check_name(parameter)
     out = {}
     for v, chain in chains.items():
         if len(chain) == 1:

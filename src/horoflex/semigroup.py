@@ -45,9 +45,9 @@ class HorosphericalDatum(_DatumFields):
     ``generators`` live in rank ``torus_rank + dominant_rank``; the last
     ``dominant_rank`` coordinates must be nonnegative.  Generators are
     deduplicated and stored sorted.  The cone data (``cone``,
-    ``weight_lattice``, ``faces``) is computed once per datum, on first
-    use; grading witnesses are read off ``cone.facets`` and each face's
-    ``zero_normals``, so no dual cone is built.
+    ``weight_lattice``, ``faces``, ``generator_zero_sets``) is computed once
+    per datum, on first use; the zero generator lies on every facet.  No dual
+    cone is built.
     """
 
     def __new__(cls, torus_rank: int, dominant_rank: int, generators: Sequence[Sequence[int]]):
@@ -88,6 +88,11 @@ class HorosphericalDatum(_DatumFields):
     @cached_property
     def faces(self) -> tuple[FaceDescriptor, ...]:
         return tuple(face_lattice(self.cone))
+
+    @cached_property
+    def generator_zero_sets(self) -> tuple[int, ...]:
+        zeros, full = self.cone.zero_sets, (1 << len(self.cone.facets)) - 1
+        return tuple(zeros.get(primitive(g), full) for g in self.generators)
 
     @cached_property
     def _face_set(self) -> frozenset[FaceDescriptor]:
@@ -231,15 +236,11 @@ class OrbitFace(NamedTuple):
 
 
 def orbit_faces(datum: HorosphericalDatum) -> list[OrbitFace]:
-    facets = datum.cone.facets
+    """Each face with the generators off it: those whose zero sets miss a facet of the face."""
     out = []
     for face in datum.faces:
-        zero = [facets[i] for i in face.zero_normals]
-        off = tuple(
-            i
-            for i, g in enumerate(datum.generators)
-            if any(dot(f, g) > 0 for f in zero)
-        )
+        zero = sum(1 << i for i in face.zero_normals)
+        off = tuple(i for i, z in enumerate(datum.generator_zero_sets) if zero & z != zero)
         out.append(OrbitFace(face, off))
     return out
 
@@ -272,16 +273,15 @@ def grading_for_face(datum: HorosphericalDatum, face: FaceDescriptor) -> Grading
         raise NonPointedError("grading witnesses require a pointed cone")
     if face not in datum._face_set:
         raise ValueError("the given face does not belong to the cone's face lattice")
-    zero = [cone.facets[i] for i in face.zero_normals]
     total = (0,) * datum.ambient_rank
-    for f in zero:
-        total = vadd(total, f)
+    for i in face.zero_normals:
+        total = vadd(total, cone.facets[i])
     functional = primitive(total)
+    zero = sum(1 << i for i in face.zero_normals)
     weights = []
-    for g in datum.generators:
+    for g, z in zip(datum.generators, datum.generator_zero_sets):
         w = dot(functional, g)
-        on_face = all(dot(f, g) == 0 for f in zero)
-        if on_face:
+        if zero & z == zero:  # g lies on the face
             if w != 0:
                 raise AssertionError("witness functional fails to vanish on the face")
         elif w < 1:

@@ -3,6 +3,7 @@
 Everything here recomputes package results along different algorithmic
 routes: cone membership via Fourier-Motzkin projection of the multiplier
 polytope, double description with every zero set recomputed by dot
+products, orbits and gradings with the facet incidence recomputed by dot
 products, lattice membership via Smith-style diagonalization, semigroup
 membership via exhaustive descent, invariant monomials of the hypersurface
 family by a quadruple loop over the exponents.  None of the package's cone,
@@ -160,6 +161,31 @@ def double_description_by_dots(
         processed.append(a)
         rays = _extreme_by_dots(list(dict.fromkeys(r for r in rays if any(r))), processed)
     return lines, sorted(rays)
+
+
+# ---------------------------------------------------------------------------
+# orbits and gradings with the facet incidence recomputed by dot products
+
+
+def off_face_by_dots(
+    facets: Sequence[Vec], zero_normals: Sequence[int], gens: Sequence[Vec]
+) -> tuple[int, ...]:
+    """Indices of the gens on which some facet vanishing on the face is positive."""
+    zero = [facets[i] for i in zero_normals]
+    return tuple(i for i, g in enumerate(gens) if any(dot(f, g) > 0 for f in zero))
+
+
+def grading_by_dots(
+    facets: Sequence[Vec], zero_normals: Sequence[int], gens: Sequence[Vec]
+) -> tuple[Vec, tuple[int, ...]]:
+    """The primitive sum of the facets vanishing on the face, and its value on
+    each gen: 0 where every one of those facets vanishes, at least 1 elsewhere."""
+    zero = [facets[i] for i in zero_normals]
+    functional = _normalize([sum(col) for col in zip(*zero)] if zero else [0] * len(gens[0]))
+    weights = tuple(dot(functional, g) for g in gens)
+    for g, w in zip(gens, weights):
+        assert w == 0 if all(dot(f, g) == 0 for f in zero) else w >= 1
+    return functional, weights
 
 
 # ---------------------------------------------------------------------------

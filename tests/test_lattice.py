@@ -561,6 +561,9 @@ def test_extreme_rays_and_face_incidence_match_rank_route(case):
     primitives = {primitive(g) for g in gens if any(g)}
     for r in rays:
         assert r in primitives and extreme(r)
+    # the incidence table: each ray's and each generator's zero set on the facets
+    for v in {*c.rays, *primitives}:
+        assert c.zero_sets[v] == sum(1 << i for i, f in enumerate(c.facets) if dot(f, v) == 0)
     for g in primitives:
         # extreme generators lie on exactly one listed ray modulo the lineality,
         # and that ray is the least extreme generator of its class

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,24 @@ def test_constructor_rejects_invalid_variable_names(name):
         Polynomial(("x", name), {(1, 1): 1})
     with pytest.raises(ValueError, match="not a valid variable name"):
         variable(name)
+    # a derivation key is a variable name too, checked when it is built
+    with pytest.raises(ValueError, match="not a valid variable name"):
+        Derivation({name: X})
+
+
+@pytest.mark.parametrize("name", [3, None, b"x", 1.5, ["x"]])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda name: Polynomial((name,), {(1,): 1}),
+        lambda name: variable(name),
+        lambda name: exp_lnd(Derivation({"x": constant(1)}), name),
+    ],
+    ids=["Polynomial", "variable", "exp_lnd"],
+)
+def test_non_string_variable_names_are_named_type_errors(build, name):
+    with pytest.raises(TypeError, match=f"variable names must be strings, got {re.escape(repr(name))}$"):
+        build(name)
 
 
 def test_power_rejects_negative():

@@ -30,7 +30,13 @@ from horoflex.semigroup import (
 )
 from horoflex.lattice import face_lattice
 
-from oracles import SaturationOracle, cone_inequalities, in_cone
+from oracles import (
+    SaturationOracle,
+    cone_inequalities,
+    grading_by_dots,
+    in_cone,
+    off_face_by_dots,
+)
 
 CUSP = HorosphericalDatum(1, 0, [[2], [3]])
 PLANE = HorosphericalDatum(2, 0, [[1, 0], [0, 1]])
@@ -365,3 +371,114 @@ def test_incidence_witness_matches_dual_cone(seed):
             if all(dot(u, r) == 0 for r in face_rays):
                 total = vadd(total, u)
         assert grading_for_face(datum, face).functional == primitive(total)
+
+
+def incidence_datum(rng):
+    """A datum of rank <= 4 that often has a zero generator, a line or a flat cone.
+
+    The torus parts are integer combinations of 1..torus random vectors, so
+    the cone is often not full-dimensional; a line is a torus vector and its
+    negative.
+    """
+    rank = rng.randint(1, 4)
+    dominant = rng.choice([0, 0, 1]) if rank > 1 else 0
+    torus = rank - dominant
+    basis = [[rng.randint(-2, 2) for _ in range(torus)] for _ in range(rng.randint(1, torus))]
+    gens = []
+    for _ in range(rng.randint(1, 5)):
+        coeffs = [rng.randint(-2, 2) for _ in basis]
+        gens.append([sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(torus)]
+                    + [rng.randint(0, 2) for _ in range(dominant)])
+    if rng.random() < 0.4:
+        gens.append([0] * rank)
+    if rng.random() < 0.3:
+        line = [rng.randint(-2, 2) for _ in range(torus)] + [0] * dominant
+        gens += [line, [-a for a in line]]
+    return HorosphericalDatum(torus, dominant, gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_orbits_and_gradings_match_dot_product_route(seed):
+    # the zero-set masks decide on-face exactly as dot products with the
+    # face's facets do, for zero generators, lines and flat cones too
+    datum = incidence_datum(random.Random(seed))
+    facets, gens = datum.cone.facets, datum.generators
+    orbits = orbit_faces(datum)
+    assert [o.face for o in orbits] == list(datum.faces)
+    for orbit in orbits:
+        zero = orbit.face.zero_normals
+        assert orbit.off_face_generators == off_face_by_dots(facets, zero, gens)
+        if is_pointed(datum.cone):
+            witness = grading_for_face(datum, orbit.face)
+            assert (witness.functional, witness.generator_weights) == grading_by_dots(
+                facets, zero, gens
+            )
+
+
+def unimodular(rng, t):
+    """A random matrix in GL_t(Z), as rows: elementary row operations on I."""
+    rows = [[int(i == j) for j in range(t)] for i in range(t)]
+    for _ in range(rng.randint(0, 2 * t)):
+        i, j = rng.randrange(t), rng.randrange(t)
+        if i == j:
+            rows[i] = [-a for a in rows[i]]
+        else:
+            c = rng.choice([-2, -1, 1, 2])
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    rng.shuffle(rows)
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_orbits_and_witnesses_do_not_depend_on_torus_coordinates(seed):
+    # U in GL_t(Z) acts on the torus coordinates and fixes the dominant ones.
+    # Generators and rays re-sort under U, so faces are matched by their ray
+    # sets mapped through U on a pointed cone; a cone with lines picks its
+    # rays by coordinate order, so there faces are matched by the generators
+    # on them.  On a flat cone the facets, hence the witness weights, depend
+    # on the coordinates (only which generators get weight 0 does not).
+    rng = random.Random(seed)
+    datum = incidence_datum(rng)
+    t = datum.torus_rank
+    u = unimodular(rng, t)
+
+    def move(v):
+        return tuple(dot(row, v[:t]) for row in u) + tuple(v[t:])
+
+    image = HorosphericalDatum(t, datum.dominant_rank, [move(g) for g in datum.generators])
+    pointed = is_pointed(datum.cone)
+    assert pointed == is_pointed(image.cone)
+
+    def faces_by_key(d, f):
+        out = {}
+        for orbit in orbit_faces(d):
+            off = frozenset(f(d.generators[i]) for i in orbit.off_face_generators)
+            if pointed:
+                key = frozenset(f(d.cone.rays[j]) for j in orbit.face.span_rays)
+            else:
+                key = frozenset(f(g) for g in d.generators) - off
+            out[key] = (orbit.face.dim, off)
+        return out
+
+    assert len(datum.faces) == len(image.faces)
+    assert faces_by_key(datum, move) == faces_by_key(image, lambda v: v)
+    verdict, image_verdict = flexibility_verdict(datum), flexibility_verdict(image)
+    assert verdict.status is image_verdict.status
+    if verdict.status is not FlexStatus.CERTIFIED_FLEXIBLE:
+        return
+    flat = bool(datum.cone.equations)
+    key_of = {
+        frozenset(image.cone.rays[j] for j in w.face.span_rays): w for w in image_verdict.witnesses
+    }
+    for w in verdict.witnesses:
+        other = key_of[frozenset(move(datum.cone.rays[j]) for j in w.face.span_rays)]
+        image_weights = dict(zip(image.generators, other.generator_weights))
+        for g, weight in zip(datum.generators, w.generator_weights):
+            moved = image_weights[move(g)]
+            assert (weight == 0) == (moved == 0) if flat else weight == moved
+        if not flat:
+            # functional' = U^{-T} functional, i.e. U^T functional' = functional
+            back = tuple(sum(u[i][j] * other.functional[i] for i in range(t)) for j in range(t))
+            assert back + other.functional[t:] == w.functional
