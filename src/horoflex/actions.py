@@ -40,6 +40,10 @@ class DiagonalTorusAction(_ActionFields):
             raise ValueError("one cyclic weight per variable is required")
         return super().__new__(cls, variables, weights, order, tuple(c % order for c in cyc))
 
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: validate it too
+        return cls(*iterable)
+
 
 class MonomialWeightReport(NamedTuple):
     exponents: tuple[int, ...]

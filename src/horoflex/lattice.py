@@ -3,16 +3,17 @@
 Everything in this module is computed over arbitrary-precision integers; no
 floating point is used anywhere.  Ranks, left solves, kernels and lineality
 projections share one fraction-free (Bareiss) elimination kernel that rejects
-rows of mixed or wrong rank; ``Fraction`` appears only in ``solve_left``'s
-rational results.  Scale target is small ambient rank (interactive use), not
-bulk polyhedral computation.
+rows of mixed or wrong rank.  Lattice membership and lattice coordinates, the
+Hilbert basis's frame included, share one Hermite reduction; ``Fraction``
+appears only in ``solve_left``, which nothing here calls.  Scale target is
+small ambient rank (interactive use), not bulk polyhedral computation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -81,12 +82,6 @@ def primitive(u: Sequence[int]) -> Vec:
     if g <= 1:
         return tuple(u)
     return tuple(a // g for a in u)
-
-
-def fraction_primitive(u: Sequence[Fraction]) -> Vec:
-    """Scale a rational vector to a primitive integer vector, keeping direction."""
-    scale = lcm(*(a.denominator for a in u))
-    return primitive(tuple(int(a * scale) for a in u))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +190,7 @@ def hermite_row(i: int, n: int) -> Vec:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def hermite_normal_form(rows: Sequence[Sequence[int]]) -> list[Vec]:
+def hermite_normal_form(rows: Iterable[Sequence[int]]) -> list[Vec]:
     """Row-style Hermite normal form; returns the nonzero rows.
 
     Pivots are positive, pivot columns strictly increase, and entries above a
@@ -247,8 +242,9 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> list[Vec]:
 class LatticeSubgroup(NamedTuple):
     """Subgroup of Z^n given by a canonical (Hermite) basis.
 
-    ``contains`` reduces a vector against the basis rows at their pivots;
-    ``member_vector`` maps integer coefficients in the basis back to Z^n.
+    ``coordinates`` reduces a vector against the basis rows at their pivots,
+    and ``contains`` asks whether that reduction succeeds; ``member_vector``
+    maps integer coefficients in the basis back to Z^n.
     """
 
     ambient_rank: int
@@ -258,16 +254,23 @@ class LatticeSubgroup(NamedTuple):
     def rank(self) -> int:
         return len(self.basis)
 
-    def contains(self, v: Sequence[int]) -> bool:
-        """Hermite reduction: clear each pivot with its basis row, then test for zero."""
+    def coordinates(self, v: Sequence[int]) -> Optional[Vec]:
+        """Hermite reduction: clear each pivot with its basis row and keep the
+        quotients, v's integer coefficients in ``basis``; None when v is not a
+        member (a remainder at a pivot, or a nonzero rest)."""
         vec = as_vector(v, self.ambient_rank)
+        coeffs = []
         for row in self.basis:
             col = next(j for j, a in enumerate(row) if a)
             q, rem = divmod(vec[col], row[col])
             if rem:
-                return False
+                return None
+            coeffs.append(q)
             vec = vsub(vec, vscale(q, row))
-        return is_zero_vec(vec)
+        return tuple(coeffs) if is_zero_vec(vec) else None
+
+    def contains(self, v: Sequence[int]) -> bool:
+        return self.coordinates(v) is not None
 
     def member_vector(self, coeffs: Sequence[int]) -> Vec:
         out = (0,) * self.ambient_rank
@@ -524,21 +527,22 @@ def face_lattice(c: RationalCone) -> list[FaceDescriptor]:
 def hilbert_basis(c: RationalCone, subgroup: Optional[LatticeSubgroup] = None) -> list[Vec]:
     """Minimal generating set of the monoid ``c ∩ subgroup`` (c pointed).
 
-    Everything is read in one frame, a basis of ``subgroup ∩ span(c)``: the
-    subgroup points on which every one of ``c.equations`` vanishes.  In it
-    the cone is full-dimensional in ``Z^d``; each ray is its primitive
-    coordinate vector there, and each of ``c.facets`` f reads as the
-    functional ``(b.f for b in frame)``.  Each linearly independent
-    ``d``-subset S of rays contributes its rays and one point of each of the
-    |det S| cosets of ``Z^d / Z<S>``, taken in the half-open parallelepiped
-    of S (Bruns & Ichim, J. Algebra 324, 2010).  That covers the Hilbert
-    basis: by conic Caratheodory an irreducible point lies in some such
-    simplicial cone, and unless it is a ray of S its coefficients there are
-    all below 1.  Each candidate's values under the facet normals are
-    computed once; in order of their sum, a positive degree, a candidate is
-    kept unless an irreducible one found so far has no larger value.  The
-    irreducible ones form the unique minimal generating set, mapped back to
-    Z^n through the frame.
+    Everything is read in one frame, the Hermite basis of the subgroup
+    points on which every one of ``c.equations`` vanishes (a datum's whole
+    weight lattice).  There the cone is full-dimensional in ``Z^d``; each of
+    ``c.facets`` f reads as ``(b.f for b in frame)``, and each ray r as the
+    primitive ``frame.coordinates(P r)``, P the product of the frame's
+    pivots: each reduction step divides by one pivot.  Each linearly
+    independent ``d``-subset S of rays contributes its rays and one point of
+    each of the |det S| cosets of ``Z^d / Z<S>``, taken in the half-open
+    parallelepiped of S (Bruns & Ichim, J. Algebra 324, 2010).  That covers
+    the Hilbert basis: by conic Caratheodory an irreducible point lies in
+    some such simplicial cone, and unless it is a ray of S its coefficients
+    there are all below 1.  Each candidate's values under the facet normals
+    are computed once; in order of their sum, a positive degree, a candidate
+    is kept unless an irreducible one found so far has no larger value.  The
+    irreducible ones form the unique minimal generating set, mapped back by
+    ``frame.member_vector``.
     """
     if not is_pointed(c):
         raise NonPointedError("non-pointed: Hilbert basis undefined here")
@@ -550,22 +554,23 @@ def hilbert_basis(c: RationalCone, subgroup: Optional[LatticeSubgroup] = None) -
     if not c.rays:
         return []
     eq_rows = [tuple(dot(b, e) for b in subgroup.basis) for e in c.equations]
-    frame = [subgroup.member_vector(k) for k in integer_kernel_basis(eq_rows, subgroup.rank)]
-    d = len(frame)
+    kernel = integer_kernel_basis(eq_rows, subgroup.rank)
+    frame = LatticeSubgroup(n, tuple(hermite_normal_form(map(subgroup.member_vector, kernel))))
+    scale = prod(next(a for a in row if a) for row in frame.basis)
     coords: set[Vec] = set()
     for r in c.rays:
-        x = solve_left(frame, r)
+        x = frame.coordinates(vscale(scale, r))
         if x is None:
             raise DimensionMismatchError(
                 "subgroup does not have full rank inside the span of the cone"
             )
-        coords.add(fraction_primitive(x))
+        coords.add(primitive(x))
     rays = sorted(coords)
-    normals = [primitive([dot(b, f) for b in frame]) for f in c.facets]
+    normals = [primitive([dot(b, f) for b in frame.basis]) for f in c.facets]
     candidates = set(rays)
-    for subset in combinations(rays, d):
+    for subset in combinations(rays, frame.rank):
         candidates.update(_parallelepiped_points(subset))
-    candidates.discard((0,) * d)
+    candidates.discard((0,) * frame.rank)
     values = {h: tuple(dot(f, h) for f in normals) for h in candidates}
     basis: list[Vec] = []
     for h in sorted(candidates, key=lambda v: (sum(values[v]), v)):
@@ -573,9 +578,7 @@ def hilbert_basis(c: RationalCone, subgroup: Optional[LatticeSubgroup] = None) -
         vh = values[h]
         if not any(all(a <= x for a, x in zip(values[b], vh)) for b in basis):
             basis.append(h)
-    return sorted(
-        tuple(sum(a * b[j] for a, b in zip(h, frame)) for j in range(n)) for h in basis
-    )
+    return sorted(frame.member_vector(h) for h in basis)
 
 
 def _parallelepiped_points(gens: Sequence[Vec]) -> list[Vec]:

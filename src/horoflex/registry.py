@@ -21,7 +21,7 @@ from .reporting import (
 
 _EXAMPLES: dict[str, Callable[[], dict[str, Any]]] = {
     "cusp": lambda: build_check_report(DatumSpec(1, 0, ((2,), (3,)), "cusp")),
-    "danielewski": build_danielewski_report,
+    "danielewski": lambda: build_danielewski_report(),  # looked up per run, as the others
     "ehm-1-2-1": lambda: build_ehm_report(1, 2, 1),
     "ehm-2-3-4": lambda: build_ehm_report(2, 3, 4),
     "plane": lambda: build_check_report(DatumSpec(2, 0, ((1, 0), (0, 1)), "plane")),

@@ -88,6 +88,10 @@ class DatumSpec(_SpecFields):
         vars(self)["datum"] = HorosphericalDatum(torus_rank, dominant_rank, generators)
         return self
 
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: validate it too
+        return cls(*iterable)
+
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("DatumSpec is immutable")
 

@@ -70,6 +70,10 @@ class HorosphericalDatum(_DatumFields):
             raise ValueError("at least one generator is required")
         return super().__new__(cls, torus_rank, dominant_rank, tuple(sorted(set(vecs))))
 
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: validate it too
+        return cls(*iterable)
+
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("HorosphericalDatum is immutable")
 
@@ -103,70 +107,47 @@ class HorosphericalDatum(_DatumFields):
 # semigroup membership
 
 
-class _MembershipSolver:
-    """Bounded-descent membership in the semigroup generated by ``gens``.
-
-    A functional strictly positive on the cone minus the origin drops by at
-    least one on every generator subtraction, so the memoized descent
-    terminates.  The sum of the facets is one exactly when the cone is
-    pointed: a point of the cone on which every facet vanishes spans a line
-    in it.
-    """
-
-    def __init__(self, gens: Sequence[Vec]):
-        if not gens:
-            raise ValueError("at least one generator is required")
-        self.rank = len(gens[0])
-        self.gens = [as_vector(g, self.rank) for g in gens]
-        self.nonzero = sorted({g for g in self.gens if not is_zero_vec(g)})
-        self.cone = RationalCone(self.gens, self.rank)
-        if not is_pointed(self.cone):
-            raise NonPointedError(
-                "semigroup membership: bounded search needs a pointed cone"
-            )
-        level = (0,) * self.rank
-        for f in self.cone.facets:
-            level = vadd(level, f)
-        self.level = level
-        for g in self.nonzero:
-            if dot(self.level, g) < 1:
-                raise AssertionError("positive functional failed on a generator")
-        self.memo: dict[Vec, bool] = {(0,) * self.rank: True}
-
-    def member(self, target: Sequence[int]) -> bool:
-        t = as_vector(target, self.rank)
-        memo = self.memo
-        if t in memo:
-            return memo[t]
-        stack = [t]
-        while stack:
-            cur = stack[-1]
-            if cur in memo:
-                stack.pop()
-                continue
-            if not self.cone.contains(cur):
-                memo[cur] = False
-                stack.pop()
-                continue
-            children = [vsub(cur, g) for g in self.nonzero]
-            unknown = [ch for ch in children if ch not in memo]
-            if unknown:
-                stack.extend(unknown)
-                continue
-            memo[cur] = any(memo[ch] for ch in children)
-            stack.pop()
-        return memo[t]
-
-
 def semigroup_member(gens: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
-    """Decide whether target is a nonnegative integer combination of gens."""
+    """Decide whether target is a nonnegative integer combination of gens.
+
+    Memoized descent over generator subtractions.  The sum of the facets
+    drops by at least one on each, so the descent terminates: the sum is
+    positive off the origin exactly when the cone is pointed, since a point
+    of the cone on which every facet vanishes spans a line in it.
+    """
     vecs = [as_vector(g) for g in gens]
     if not vecs:
         raise ValueError("at least one generator is required")
     rank = len(vecs[0])
-    return _MembershipSolver([as_vector(g, rank) for g in vecs]).member(
-        as_vector(target, rank)
-    )
+    vecs = [as_vector(g, rank) for g in vecs]
+    cone = RationalCone(vecs, rank)
+    if not is_pointed(cone):
+        raise NonPointedError("semigroup membership: bounded search needs a pointed cone")
+    nonzero = sorted({g for g in vecs if not is_zero_vec(g)})
+    level = (0,) * rank
+    for f in cone.facets:
+        level = vadd(level, f)
+    if any(dot(level, g) < 1 for g in nonzero):
+        raise AssertionError("positive functional failed on a generator")
+    t = as_vector(target, rank)
+    memo: dict[Vec, bool] = {(0,) * rank: True}
+    stack = [t]
+    while stack:
+        cur = stack[-1]
+        if cur in memo:
+            stack.pop()
+        elif not cone.contains(cur):
+            memo[cur] = False
+            stack.pop()
+        else:
+            children = [vsub(cur, g) for g in nonzero]
+            unknown = [ch for ch in children if ch not in memo]
+            if unknown:
+                stack.extend(unknown)
+            else:
+                memo[cur] = any(memo[ch] for ch in children)
+                stack.pop()
+    return memo[t]
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,23 @@ def test_examples_run_exit_codes(capsys):
         assert report["name"] == name
 
 
+def test_examples_run_looks_its_builder_up_at_call_time(capsys, monkeypatch):
+    # a builder stored at import time would escape this rebinding (and a tracer's)
+    import horoflex.registry as registry
+
+    calls = []
+    original = registry.build_danielewski_report
+
+    def counted():
+        calls.append(1)
+        return original()
+
+    monkeypatch.setattr(registry, "build_danielewski_report", counted)
+    assert main(["examples", "run", "danielewski", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert calls == [1]
+
+
 def test_examples_run_unknown(capsys):
     code = main(["examples", "run", "nope"])
     assert code == 1

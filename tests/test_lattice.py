@@ -157,6 +157,10 @@ def test_subgroup_membership_matches_smith_oracle(case):
     assert sub.contains(member)
     for v in points:
         assert sub.contains(v) == oracle.contains(v)
+        x = sub.coordinates(v)
+        assert (x is None) == (not oracle.contains(v))
+        if x is not None:
+            assert len(x) == sub.rank and sub.member_vector(x) == v
 
 
 @st.composite
@@ -452,6 +456,19 @@ def test_hilbert_basis_subgroup_of_other_rank_raises():
     c = RationalCone([(1, 0), (0, 1)], 2)
     with pytest.raises(DimensionMismatchError, match="different ambient ranks"):
         hilbert_basis(c, group_generated([(1, 0, 0)]))
+
+
+def test_hilbert_basis_of_a_flat_cone_in_a_sublattice_with_large_pivots():
+    # the frame of the plane x = z in this subgroup has Hermite rows
+    # (2, 1, 2) and (0, 3, 0); their pivot product 6 clears the denominators
+    # of the ray coordinates (1/2, -1/6) and (1/2, 5/6), and the basis is
+    # that of the cone over (3, -1) and (3, 5) in Z^2
+    sub = group_generated([(2, 1, 2), (0, 3, 0)])
+    assert sub.basis == ((2, 1, 2), (0, 3, 0))
+    assert sub.coordinates((1, 0, 1)) is None
+    c = RationalCone([(1, 0, 1), (1, 3, 1)], 3)
+    assert c.equations
+    assert hilbert_basis(c, sub) == [(2, 1, 2), (2, 4, 2), (4, 11, 4), (6, 0, 6), (6, 18, 6)]
 
 
 def test_hilbert_basis_of_planes_in_z3():

@@ -114,3 +114,26 @@ def test_spec_keeps_its_datum_out_of_equality_and_repr():
     assert spec == twin and hash(spec) == hash(twin)
     assert "datum" not in repr(spec)
     assert spec != DatumSpec(1, 0, ((2,), (3,)), "cusp")
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: HorosphericalDatum(1, 1, [(1, 0), (0, 1)])._replace(
+        generators=((0, -1), (3, 2), (3, 2))), "dominance violation"),
+    (lambda: HorosphericalDatum._make([0, 0, ()]), "ambient rank must be positive"),
+    (lambda: DatumSpec(1, 0, ((2,), (3,)), "cusp")._replace(generators=()),
+     "at least one generator"),
+    (lambda: DiagonalTorusAction(("x", "y"), (1, 2))._replace(cyclic_order=0),
+     "cyclic_order must be a positive integer"),
+], ids=["datum-replace", "datum-make", "spec-replace", "action-replace"])
+def test_make_and_replace_validate_like_the_constructor(build, error):
+    with pytest.raises(ValueError, match=error):
+        build()
+
+
+def test_replace_keeps_the_normal_form_and_the_spec_datum():
+    datum = HorosphericalDatum(1, 0, [(2,), (3,)])._replace(generators=[(5,), (2,), (5,)])
+    assert datum.generators == ((2,), (5,))
+    spec = DatumSpec(1, 0, ((2,), (3,)), "cusp")._replace(label="x")
+    assert spec.label == "x" and spec.datum == HorosphericalDatum(1, 0, ((2,), (3,)))
+    action = DiagonalTorusAction(("x", "y"), (1, 2), 3)._replace(cyclic_weights=(4, -1))
+    assert action.cyclic_weights == (1, 2)

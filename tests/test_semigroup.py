@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,11 +15,11 @@ from horoflex.lattice import (
     is_pointed,
     primitive,
     vadd,
+    vscale,
 )
 from horoflex.reporting import DatumSpec, build_check_report, verify_check_report
 from horoflex.semigroup import (
     FlexStatus,
-    _MembershipSolver,
     HorosphericalDatum,
     flexibility_verdict,
     grading_for_face,
@@ -32,6 +33,7 @@ from horoflex.lattice import face_lattice
 
 from oracles import (
     SaturationOracle,
+    SemigroupOracle,
     cone_inequalities,
     grading_by_dots,
     in_cone,
@@ -301,10 +303,12 @@ def test_members_stay_in_cone_and_group(seed):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_saturation_gap_is_first_basis_element_outside_the_semigroup(seed):
+    # membership by the oracles' own descent, not the one semigroup_member runs
     datum = random_datum(random.Random(seed))
-    solver = _MembershipSolver(list(datum.generators))
+    gens, rank = list(datum.generators), datum.ambient_rank
+    oracle = SemigroupOracle(gens, rank, cone_inequalities(gens, rank))
     basis = hilbert_basis(datum.cone, datum.weight_lattice)
-    expected = next((h for h in basis if not solver.member(h)), None)
+    expected = next((h for h in basis if not oracle.member(h)), None)
     assert is_saturated(datum).gap == expected
 
 
@@ -430,6 +434,16 @@ def unimodular(rng, t):
     return rows
 
 
+def torus_image(datum, u):
+    """The datum under U acting on its torus coordinates, and the map v -> U v."""
+    t = datum.torus_rank
+
+    def move(v):
+        return tuple(dot(row, v[:t]) for row in u) + tuple(v[t:])
+
+    return HorosphericalDatum(t, datum.dominant_rank, [move(g) for g in datum.generators]), move
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_orbits_and_witnesses_do_not_depend_on_torus_coordinates(seed):
@@ -443,11 +457,7 @@ def test_orbits_and_witnesses_do_not_depend_on_torus_coordinates(seed):
     datum = incidence_datum(rng)
     t = datum.torus_rank
     u = unimodular(rng, t)
-
-    def move(v):
-        return tuple(dot(row, v[:t]) for row in u) + tuple(v[t:])
-
-    image = HorosphericalDatum(t, datum.dominant_rank, [move(g) for g in datum.generators])
+    image, move = torus_image(datum, u)
     pointed = is_pointed(datum.cone)
     assert pointed == is_pointed(image.cone)
 
@@ -482,3 +492,79 @@ def test_orbits_and_witnesses_do_not_depend_on_torus_coordinates(seed):
             # functional' = U^{-T} functional, i.e. U^T functional' = functional
             back = tuple(sum(u[i][j] * other.functional[i] for i in range(t)) for j in range(t))
             assert back + other.functional[t:] == w.functional
+
+
+def assert_semigroup_answers_move_with_torus_coordinates(datum, u):
+    # the Hilbert basis and saturate commute with U; the reported gap is the
+    # lexicographically first one, which does not, so U gap is only checked
+    # to be a gap of U S: in the group and the cone, not in the semigroup
+    image, move = torus_image(datum, u)
+    assert is_pointed(image.cone) == is_pointed(datum.cone)
+    if not is_pointed(datum.cone):
+        return
+    basis = hilbert_basis(datum.cone, datum.weight_lattice)
+    assert set(hilbert_basis(image.cone, image.weight_lattice)) == set(map(move, basis))
+    assert saturate(image) == torus_image(saturate(datum), u)[0]
+    gap = is_saturated(datum).gap
+    assert (gap is None) == (is_saturated(image).gap is None)
+    if gap is not None:
+        moved = move(gap)
+        assert image.weight_lattice.contains(moved) and image.cone.contains(moved)
+        assert not semigroup_member(image.generators, moved)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_hilbert_basis_saturation_and_gap_do_not_depend_on_torus_coordinates(seed):
+    rng = random.Random(seed)
+    datum = incidence_datum(rng)
+    assert_semigroup_answers_move_with_torus_coordinates(datum, unimodular(rng, datum.torus_rank))
+
+
+def cone_over(points):
+    """The datum of the cone over lattice points: torus part the point, dominant part 1."""
+    return HorosphericalDatum(len(points[0]), 1, [tuple(p) + (1,) for p in points])
+
+
+LARGE_CONES = {
+    # the cone over the 4-cube (certified) and over the cyclic polytope with
+    # vertices (t, t^2, ..., t^5), t = 0..7 (not normal)
+    "cube5": cone_over(list(product((0, 1), repeat=4))),
+    "cyclic8": cone_over([tuple(t**k for k in range(1, 6)) for t in range(8)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_CONES))
+def test_large_cones_do_not_depend_on_torus_coordinates(name):
+    datum = LARGE_CONES[name]
+    u = unimodular(random.Random(0), datum.torus_rank)  # seed 0: no signed permutation
+    assert_semigroup_answers_move_with_torus_coordinates(datum, u)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_same_semigroup_from_other_generators(seed):
+    # adding a sum of two generators changes no answer; 2S keeps the face
+    # dimensions, the verdict and the functionals, and doubles the Hilbert
+    # basis, the gap and every generator weight
+    rng = random.Random(seed)
+    datum = incidence_datum(rng)
+    gens, t, r = datum.generators, datum.torus_rank, datum.dominant_rank
+    wider = HorosphericalDatum(t, r, gens + (vadd(rng.choice(gens), rng.choice(gens)),))
+    doubled = HorosphericalDatum(t, r, [vscale(2, g) for g in gens])
+    verdict = flexibility_verdict(datum)
+    for other, k in ((wider, 1), (doubled, 2)):
+        assert [f.dim for f in other.faces] == [f.dim for f in datum.faces]
+        other_verdict = flexibility_verdict(other)
+        assert other_verdict.status is verdict.status
+        gap = verdict.saturation_gap
+        assert other_verdict.saturation_gap == (None if gap is None else vscale(k, gap))
+        assert len(other_verdict.witnesses) == len(verdict.witnesses)
+        for w, ow in zip(verdict.witnesses, other_verdict.witnesses):
+            assert ow.functional == w.functional
+            weights = dict(zip(other.generators, ow.generator_weights))
+            assert [weights[vscale(k, g)] for g in gens] == [k * a for a in w.generator_weights]
+        if is_pointed(datum.cone):
+            basis = hilbert_basis(datum.cone, datum.weight_lattice)
+            other_basis = hilbert_basis(other.cone, other.weight_lattice)
+            assert other_basis == [vscale(k, h) for h in basis]
