@@ -1,18 +1,18 @@
 """Exact integer lattices and rational polyhedral cones.
 
 Everything in this module is computed over arbitrary-precision integers; no
-floating point is used anywhere.  Ranks, left solves, kernels and lineality
-projections share one fraction-free (Bareiss) elimination kernel that rejects
-rows of mixed or wrong rank.  Lattice membership and lattice coordinates, the
-Hilbert basis's frame included, share one Hermite reduction; ``Fraction``
-appears only in ``solve_left``, which nothing here calls.  Scale target is
-small ambient rank (interactive use), not bulk polyhedral computation.
+floating point is used anywhere.  Ranks, left solves and a simplex's coset
+points share one fraction-free (Bareiss) elimination, one pass per question;
+kernels, lattice membership and lattice coordinates, the Hilbert basis's frame
+included, share the Hermite form.  ``Fraction`` appears only in ``solve_left``,
+which nothing here calls.  Scale target is small ambient rank (interactive
+use), not bulk polyhedral computation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd, lcm, prod
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -93,19 +93,17 @@ def _check_width(rows: Sequence[Sequence[int]], width: int) -> None:
         raise DimensionMismatchError(f"every row must have rank {width}")
 
 
-def _eliminate(
-    work: list[Sequence[int]], ncols: int, reduce: bool
-) -> tuple[list[int], int]:
-    """Fraction-free (Bareiss) Gaussian elimination of integer rows, in place.
+def _eliminate(work: list[Sequence[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows, in place.
 
     Each of columns ``0..ncols-1`` takes as pivot the first row from row
-    ``rank`` on that is nonzero there.  Rows below the pivot, and above it
-    when ``reduce``, become ``(p * row - row[col] * pivot_row) // prev``
-    with ``prev`` the previous pivot: exact by Sylvester's identity, so
-    entries stay minors of the input (Bareiss, Math. Comp. 22, 1968).
-    Returns the pivot columns and the last pivot ``d`` (1 if none); after
-    ``reduce``, pivot row ``r`` holds ``d`` at ``pivots[r]`` and 0 at every
-    other pivot column.
+    ``rank`` on that is nonzero there.  Every other row becomes
+    ``(p * row - row[col] * pivot_row) // prev`` with ``prev`` the previous
+    pivot: exact by Sylvester's identity, so entries stay minors of the
+    input (Bareiss, Math. Comp. 22, 1968).  Returns the pivot columns and
+    the last pivot ``d`` (1 if none); pivot row ``r`` then holds ``d`` at
+    ``pivots[r]`` and 0 at every other pivot column, so ``[S | I]`` with S
+    square of full rank becomes ``[d I | d S^-1]``, ``d = ±det S``.
     """
     pivots: list[int] = []
     prev = 1
@@ -120,7 +118,7 @@ def _eliminate(
         work[rank], work[pick] = work[pick], work[rank]
         prow = work[rank]
         p = prow[col]
-        for i in range(0 if reduce else rank + 1, nrows):
+        for i in range(nrows):
             if i == rank:
                 continue
             row = work[i]
@@ -138,7 +136,7 @@ def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
     if not rows:
         return 0
     _check_width(rows, len(rows[0]))
-    return len(_eliminate(list(rows), len(rows[0]), reduce=False)[0])
+    return len(_eliminate(list(rows), len(rows[0]))[0])
 
 
 def solve_left(
@@ -160,7 +158,7 @@ def solve_left(
     scale = lcm(*(t.denominator for t in target))
     column = [t.numerator * (scale // t.denominator) for t in target]
     aug = list(zip(*rows, column))
-    pivots, d = _eliminate(aug, m, reduce=True)
+    pivots, d = _eliminate(aug, m)
     if any(row[m] for row in aug[len(pivots):]):
         return None
     value = {col: row[m] for col, row in zip(pivots, aug)}
@@ -171,16 +169,9 @@ def integer_kernel_basis(rows: Sequence[Vec], ambient_rank: int) -> list[Vec]:
     """Hermite basis of the integer points of ``{x : rows @ x = 0}``.
 
     The rows of the Hermite form of ``[rows^T | I]`` that vanish on the
-    ``rows^T`` columns are a basis over the integers; a first elimination
-    settles the common case of a zero kernel without it.
+    ``rows^T`` columns are a basis over the integers.
     """
-    if not rows:
-        return [hermite_row(i, ambient_rank) for i in range(ambient_rank)]
-    work = list(rows)
-    _check_width(work, ambient_rank)
-    pivots, _ = _eliminate(work, ambient_rank, reduce=False)
-    if len(pivots) == ambient_rank:
-        return []
+    _check_width(rows, ambient_rank)
     m = len(rows)
     aug = [tuple(r[j] for r in rows) + hermite_row(j, ambient_rank) for j in range(ambient_rank)]
     return [row[m:] for row in hermite_normal_form(aug) if is_zero_vec(row[:m])]
@@ -404,9 +395,8 @@ class RationalCone:
         eq, ineq = generators_from_inequalities(vecs, ambient_rank)
         object.__setattr__(self, "equations", tuple(eq))
         object.__setattr__(self, "facets", tuple(ineq))
-        lineality = integer_kernel_basis(eq + ineq, ambient_rank)
+        lineality, rays, zero_sets = _canonical_rays(vecs, eq, ineq, ambient_rank)
         object.__setattr__(self, "lineality_basis", tuple(lineality))
-        rays, zero_sets = _canonical_rays(vecs, ineq, lineality)
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "zero_sets", zero_sets)
 
@@ -433,19 +423,23 @@ class RationalCone:
 
 
 def _canonical_rays(
-    gens: list[Vec], ineq: Sequence[Vec], lineality: Sequence[Vec]
-) -> tuple[tuple[Vec, ...], dict[Vec, int]]:
-    """The rays and each generator's and ray's zero set on ``ineq``: extreme
-    generators share a ray modulo the lineality space exactly when they share
-    a zero set, and the least of them (``gens`` is sorted) is the ray."""
+    gens: list[Vec], eq: list[Vec], ineq: list[Vec], ambient_rank: int
+) -> tuple[list[Vec], tuple[Vec, ...], dict[Vec, int]]:
+    """The lineality basis, the rays, and each generator's and ray's zero set
+    on ``ineq``.  A line exists exactly when some generator lies on every
+    facet: the minimal face, the lineality space, is generated by the
+    generators in it, none of them zero.  Extreme generators share a ray
+    modulo the lineality space exactly when they share a zero set, and the
+    least of them (``gens`` is sorted) is the ray."""
     zeros = {g: sum(1 << i for i, f in enumerate(ineq) if dot(f, g) == 0) for g in gens}
     full = (1 << len(ineq)) - 1
+    lineality = integer_kernel_basis(eq + ineq, ambient_rank) if full in zeros.values() else []
     chosen: dict[int, Vec] = {}
     for g, z in _extreme(zeros, full).items():
         chosen.setdefault(z, g)
     lines = [r for line in lineality for r in (line, vneg(line))]
     zeros.update(dict.fromkeys(lines, full))
-    return tuple(sorted([*chosen.values(), *lines])), zeros
+    return lineality, tuple(sorted([*chosen.values(), *lines])), zeros
 
 
 def dual_cone(c: RationalCone) -> RationalCone:
@@ -584,27 +578,32 @@ def hilbert_basis(c: RationalCone, subgroup: Optional[LatticeSubgroup] = None) -
 def _parallelepiped_points(gens: Sequence[Vec]) -> list[Vec]:
     """One point of each coset of ``Z^d / Z<gens>``, in the half-open parallelepiped.
 
-    ``gens`` are ``d`` vectors of ``Z^d``; linearly dependent ones give [].
-    The Hermite diagonal of gens lists the cosets as a box of
-    representatives x, and x - floor(x gens^-1) gens moves each one into
-    the parallelepiped.  A forward elimination settles the dependent and
-    the unimodular subsets before any inverse is formed.
+    ``gens`` are the ``d`` rows of a ``d x d`` matrix S; linearly dependent
+    ones give [].  One elimination of ``[S | I]`` gives ``D = |det S|`` and
+    ``±D S^-1``, whose row j is D times the coefficients of e_j on S.  A
+    point x has coefficients ``x S^-1``, so ``x -> D x S^-1 mod D`` maps
+    ``Z^d / Z<gens>`` one to one onto the subgroup of ``(Z/D)^d`` that those
+    rows generate (as do their negatives), listed here by closure from 0.
+    An element k of it is the point ``k S / D``, with coefficients ``k / D``
+    in ``[0, 1)``.
     """
     d = len(gens)
-    pivots, det = _eliminate(list(gens), d, reduce=False)
+    work: list[Sequence[int]] = [[*g, *hermite_row(i, d)] for i, g in enumerate(gens)]
+    pivots, det = _eliminate(work, d)
     if len(pivots) < d:
         return []
-    if abs(det) == 1:
-        return [(0,) * d]  # unimodular: a single coset
-    # [gens | I] reduces to [det * I | det * gens^-1]
-    work: list[Sequence[int]] = [[*g, *hermite_row(i, d)] for i, g in enumerate(gens)]
-    det = _eliminate(work, d, reduce=True)[1]
-    inverse = [row[d:] for row in work]
-    diagonal = [row[i] for i, row in enumerate(hermite_normal_form(gens))]
-    points = []
-    for x in product(*(range(h) for h in diagonal)):
-        shift = [sum(a * row[j] for a, row in zip(x, inverse)) // det for j in range(d)]
-        points.append(tuple(
-            a - sum(s * g[t] for s, g in zip(shift, gens)) for t, a in enumerate(x)
-        ))
-    return points
+    size = abs(det)
+    steps = {tuple(a % size for a in row[d:]) for row in work}
+    cosets = {(0,) * d}
+    frontier = [(0,) * d]
+    while frontier:
+        k = frontier.pop()
+        for step in steps:
+            nxt = tuple((a + b) % size for a, b in zip(k, step))
+            if nxt not in cosets:
+                cosets.add(nxt)
+                frontier.append(nxt)
+    return [
+        tuple(sum(c * g[t] for c, g in zip(k, gens)) // size for t in range(d))
+        for k in cosets
+    ]

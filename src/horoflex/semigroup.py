@@ -98,10 +98,6 @@ class HorosphericalDatum(_DatumFields):
         zeros, full = self.cone.zero_sets, (1 << len(self.cone.facets)) - 1
         return tuple(zeros.get(primitive(g), full) for g in self.generators)
 
-    @cached_property
-    def _face_set(self) -> frozenset[FaceDescriptor]:
-        return frozenset(self.faces)
-
 
 # ---------------------------------------------------------------------------
 # semigroup membership
@@ -252,7 +248,7 @@ def grading_for_face(datum: HorosphericalDatum, face: FaceDescriptor) -> Grading
     cone = datum.cone
     if not is_pointed(cone):
         raise NonPointedError("grading witnesses require a pointed cone")
-    if face not in datum._face_set:
+    if face not in datum.faces:
         raise ValueError("the given face does not belong to the cone's face lattice")
     total = (0,) * datum.ambient_rank
     for i in face.zero_normals:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Matrix
 
+from horoflex import lattice
 from horoflex.lattice import (
     DimensionMismatchError,
     LatticeSubgroup,
@@ -266,6 +267,45 @@ def test_dual_of_halfplane_has_ray_pair():
     assert d.rays == ((0, 1),)
 
 
+@pytest.mark.parametrize(
+    "gens, rank, lineality, facets",
+    [
+        # no generator spans the line; (1, 0), (-1, 1), (-1, -1) span the plane
+        ([(1, 0), (-1, 1), (-1, -1)], 2, ((1, 0), (0, 1)), ()),
+        ([(1, 0, 0), (-1, 1, 0), (-1, -1, 0), (0, 0, 1)], 3, ((1, 0, 0), (0, 1, 0)), ((0, 0, 1),)),
+        ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], 3,
+         ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ()),
+        ([], 3, (), ()),
+    ],
+    ids=["plane-from-three", "half-space", "whole-space", "no-generators"],
+)
+def test_lineality_basis_frozen(gens, rank, lineality, facets):
+    c = RationalCone(gens, rank)
+    assert c.lineality_basis == lineality
+    assert c.facets == facets
+    assert c.lineality_basis == tuple(integer_kernel_basis([*c.equations, *c.facets], rank))
+
+
+def test_pointed_cone_computes_no_kernel(monkeypatch):
+    calls = []
+
+    def counting(rows, ambient_rank):
+        calls.append(rows)
+        return integer_kernel_basis(rows, ambient_rank)
+
+    monkeypatch.setattr(lattice, "integer_kernel_basis", counting)
+    for gens, rank in [
+        ([(1, 0), (1, 2)], 2),
+        ([(1, 0, 0), (0, 1, 0)], 3),
+        ([(1, 0, 1), (1, 1, 1), (1, 2, 1)], 3),
+        ([(0, 0), (2, 3)], 2),
+    ]:
+        assert is_pointed(RationalCone(gens, rank))
+    assert calls == []
+    assert not is_pointed(RationalCone([(1, 0), (-1, 0), (0, 1)], 2))
+    assert len(calls) == 1
+
+
 def test_face_lattice_frozen():
     c = RationalCone([(1, 0), (1, 2)], 2)
     faces = face_lattice(c)
@@ -446,6 +486,55 @@ def test_hilbert_basis_matches_brute_force(case):
     assert basis == irreducible_points(gens, subgroup_gens, d, extra)
 
 
+@st.composite
+def square_matrices(draw):
+    """A d x d integer matrix, d <= 3: random, dependent (a row a combination
+    of the others), or unimodular (a triangular product); a row swap flips the
+    sign of det."""
+    d = draw(st.integers(1, 3))
+    entry = st.integers(-3, 3)
+    kind = draw(st.sampled_from(["random", "dependent", "unimodular"]))
+    rows = [[draw(entry) for _ in range(d)] for _ in range(d)]
+    if kind == "dependent":
+        coeffs = [draw(entry) for _ in range(d - 1)]
+        rows[-1] = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(d)]
+    elif kind == "unimodular":
+        def triangular(below):
+            return [[1 if i == j else draw(st.integers(-1, 1)) if (j < i) == below else 0
+                     for j in range(d)] for i in range(d)]
+
+        upper, lower = triangular(False), triangular(True)
+        rows = [[sum(a[t] * lower[t][j] for t in range(d)) for j in range(d)] for a in upper]
+    if d > 1 and draw(st.booleans()):
+        rows[0], rows[1] = rows[1], rows[0]
+    return [tuple(r) for r in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_parallelepiped_points_match_brute_force(gens):
+    # every integer point of the half-open parallelepiped, found by scanning
+    # its bounding box with exact coefficients x S^-1 from sympy
+    d = len(gens)
+    det = Matrix(gens).det()
+    points = lattice._parallelepiped_points(gens)
+    if det == 0:
+        assert points == []
+        return
+    inverse = Matrix(gens).inv()
+    box = [range(sum(min(0, g[t]) for g in gens), sum(max(0, g[t]) for g in gens) + 1)
+           for t in range(d)]
+    inside = {x for x in product(*box) if all(0 <= c < 1 for c in Matrix([x]) * inverse)}
+    assert len(points) == len(set(points)) == abs(det)
+    assert set(points) == inside
+    coefficients = [Matrix([x]) * inverse for x in points]
+    for c in coefficients:
+        assert all(0 <= a < 1 for a in c)
+    for a, b in combinations(coefficients, 2):
+        # two points share a coset when their difference has integer coefficients
+        assert not all((u - v).is_integer for u, v in zip(a, b))
+
+
 def test_hilbert_basis_subgroup_missing_the_span_raises():
     c = RationalCone([(1, 0), (0, 1)], 2)
     with pytest.raises(DimensionMismatchError, match="full rank inside the span"):
@@ -562,6 +651,8 @@ def test_extreme_rays_and_face_incidence_match_rank_route(case):
     lineality = list(c.lineality_basis)
     lin_dim = rank - rational_rank(normals)
     assert len(lineality) == lin_dim
+    # computed only when a generator lies on every facet, yet always the kernel
+    assert lineality == integer_kernel_basis(normals, rank)
     # every equation vanishes on every ray; no facet does, and two facets
     # vanish on different ray sets (irredundant)
     assert all(dot(e, r) == 0 for e in c.equations for r in c.rays)

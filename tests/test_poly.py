@@ -464,6 +464,43 @@ def test_compose_substitutions_order():
     assert compose_substitutions(second, first)["x"] == (X + 1) ** 2
 
 
+def conjugate_flows(d, phi, phi_inverse):
+    """exp(t D') for D' = phi^-1 o D o phi (as ring maps), and the same flow
+    composed as phi, then exp(t D), then phi^-1 in both argument orders."""
+    conjugate = Derivation({v: d.apply(img).substitute(phi_inverse) for v, img in phi.items()})
+    flow = exp_lnd(d, "t")
+    return (
+        exp_lnd(conjugate, "t"),
+        compose_substitutions(compose_substitutions(phi, flow), phi_inverse),
+        compose_substitutions(phi_inverse, compose_substitutions(flow, phi)),
+    )
+
+
+def test_conjugate_flow_identity_pins_composition_order():
+    # Freudenburg, Algebraic Theory of Locally Nilpotent Derivations, ch. 1
+    d = Derivation({"x": constant(0), "y": X, "z": Y})
+    phi = {"x": X, "y": Y + X**2, "z": Z + Y**3}
+    phi_inverse = {"x": X, "y": Y - X**2, "z": Z - (Y - X**2) ** 3}
+    flow, composed, reversed_order = conjugate_flows(d, phi, phi_inverse)
+    assert flow == composed
+    assert flow != reversed_order
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_conjugate_flow_identity_for_triangular_automorphisms(seed):
+    # phi = (x, y + p(x), z + q(x, y)) has the triangular inverse
+    # (x, y - p(x), z - q(x, y - p(x)))
+    rng = random.Random(seed)
+    p = random_poly(rng, names=("x",), max_terms=3, max_deg=3)
+    q = random_poly(rng, names=("x", "y"), max_terms=3, max_deg=2)
+    phi = {"x": X, "y": Y + p, "z": Z + q}
+    phi_inverse = {"x": X, "y": Y - p, "z": Z - q.substitute({"y": Y - p})}
+    d = Derivation({"x": constant(0), "y": X, "z": Y})
+    flow, composed, _ = conjugate_flows(d, phi, phi_inverse)
+    assert flow == composed
+
+
 # ---------------------------------------------------------------------------
 # hypersurface preservation
 
