@@ -8,6 +8,7 @@ kind (bad input, rank cap, corrupted report).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from json.encoder import encode_basestring_ascii as _quote
@@ -122,7 +123,10 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argparse tree, built once per process on first use; each
+    ``build`` default looks its builder up by name when it runs."""
     parser = _Parser(
         prog="horoflex",
         description=(
@@ -178,9 +182,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    """Run one command; every call in a process shares one parser."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
