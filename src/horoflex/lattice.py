@@ -5,15 +5,18 @@ floating point is used anywhere.  Ranks, left solves and a simplex's coset
 points share one fraction-free (Bareiss) elimination, one pass per question;
 kernels, lattice membership and lattice coordinates, the Hilbert basis's frame
 included, share the Hermite form.  ``Fraction`` appears only in ``solve_left``,
-which nothing here calls.  Scale target is small ambient rank (interactive
-use), not bulk polyhedral computation.
+which nothing here calls.  Double description by adjacency and the face
+lattice run on zero sets as int bitmasks.  Scale target is small ambient rank
+(interactive use), not bulk polyhedral computation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, product
 from math import gcd, lcm, prod
+from operator import add, and_, mul, neg, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -51,27 +54,27 @@ def as_vector(coords: Iterable[int], rank: Optional[int] = None) -> Vec:
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != len(v):
         raise DimensionMismatchError(f"rank mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vneg(u: Vec) -> Vec:
-    return tuple(-a for a in u)
+    return tuple(map(neg, u))
 
 
 def vscale(c: int, u: Vec) -> Vec:
-    return tuple(c * a for a in u)
+    return tuple([c * a for a in u])
 
 
 def is_zero_vec(u: Sequence[int]) -> bool:
-    return all(a == 0 for a in u)
+    return not any(u)
 
 
 def primitive(u: Sequence[int]) -> Vec:
@@ -287,14 +290,14 @@ def group_generated(gens: Sequence[Sequence[int]]) -> LatticeSubgroup:
 def _extreme(zeros: dict[Vec, int], full: int) -> dict[Vec, int]:
     """The vecs on extreme rays of the cone cut out by the normals of ``full``.
 
-    ``zeros`` maps each vec to its zero set, with bit i set when normal i
-    vanishes on it, and ``full`` is the set of all normals.  A vec is
-    dropped when every normal vanishes on it (a lineality direction), or
-    when another vec's zero set lies strictly between its own and ``full``
-    (Fukuda & Prodon, "Double description method revisited", 1996).  Exact
-    whenever the vecs and the lineality space generate the cone: the
-    minimal face of v is generated by the vecs whose zero sets contain
-    Z(v), and every extreme ray in it has a representative among them.
+    Used by ``_canonical_rays`` only.  ``zeros`` maps each vec to its zero
+    set, bit i set when normal i vanishes on it; ``full`` is the set of all
+    normals.  A vec is dropped when every normal vanishes on it (a lineality
+    direction), or when another vec's zero set lies strictly between its own
+    and ``full`` (Fukuda & Prodon, "Double description method revisited",
+    1996).  Exact whenever the vecs and the lineality space generate the
+    cone: the minimal face of v is generated by the vecs whose zero sets
+    contain Z(v), and every extreme ray in it has a representative among them.
     """
     proper = {z for z in zeros.values() if z != full}
     return {
@@ -303,21 +306,27 @@ def _extreme(zeros: dict[Vec, int], full: int) -> dict[Vec, int]:
     }
 
 
+def _combine(c: int, u: Vec, d: int, v: Vec) -> Vec:
+    return primitive([c * x - d * y for x, y in zip(u, v)])
+
+
 def generators_from_inequalities(
     normals: Sequence[Vec], ambient_rank: int
 ) -> tuple[list[Vec], list[Vec]]:
     """Lineality basis and extreme rays of ``{x : a.x >= 0 for a in normals}``.
 
-    Incremental double description with explicit lineality handling.  Each
-    ray carries its zero set on the normals processed so far as a bitmask,
-    updated without dot products: when normal ``a`` (bit ``b``) vanishes on
-    ray r, r gains b; the combination ``(a.p) q - (a.q) p`` of p (a.p > 0)
-    and q (a.q < 0) gets ``Z(p) & Z(q) | b``, because on an earlier normal
-    it is a sum of two nonnegative terms.  When ``a`` meets a line w, the
-    other rays are moved into the kernel of ``a`` along w and gain b, and w
-    becomes a ray vanishing on every earlier normal, since processed normals
-    vanish on the lines.  Rays are pruned to extreme ones after every step
-    by comparing those masks (``_extreme``).
+    Incremental double description with explicit lineality handling.  After
+    each normal the rays are one vector per extreme ray of the cone so far,
+    modulo its lines, each with its zero set on the processed normals as a
+    bitmask; normal ``a`` (bit ``b``) adds b to the rays it vanishes on.  Rays
+    p (a.p > 0) and q (a.q < 0) give ``(a.p) q - (a.q) p``, with zero set
+    ``Z(p) & Z(q) | b``, only when adjacent: no other ray's zero set contains
+    ``Z(p) & Z(q)`` (Fukuda & Prodon, 1996); no other pair gives an extreme
+    ray.  Adjacent rays span a face of codimension ``n - 2 - len(lines)``, so
+    they share at least that many zeros.  When ``a`` meets a line w, the
+    projection along w onto the kernel of ``a`` maps the cone onto its face
+    ``a.x = 0``, so the rays stay extreme (and gain b); w joins them with
+    every earlier normal in its zero set, as those vanish on the lines.
     """
     n = ambient_rank
     lines: list[Vec] = [hermite_row(i, n) for i in range(n)]
@@ -328,35 +337,28 @@ def generators_from_inequalities(
         if is_zero_vec(a):
             continue
         bit = 1 << processed
-        new: list[tuple[Vec, int]] = []
         hit = next((i for i, v in enumerate(lines) if dot(a, v) != 0), None)
         if hit is not None:
             w = lines.pop(hit)
             if dot(a, w) < 0:
                 w = vneg(w)
             aw = dot(a, w)
-            lines = [primitive(vsub(vscale(aw, v), vscale(dot(a, v), w))) for v in lines]
-            for r, z in zeros.items():
-                new.append((primitive(vsub(vscale(aw, r), vscale(dot(a, r), w))), z | bit))
-            new.append((w, bit - 1))
+            lines = [_combine(aw, v, dot(a, v), w) for v in lines]
+            zeros = {_combine(aw, r, dot(a, r), w): z | bit for r, z in zeros.items()}
+            zeros[w] = bit - 1
         else:
-            pos, neg = [], []
-            for r, z in zeros.items():
-                ar = dot(a, r)
-                if ar == 0:
-                    new.append((r, z | bit))
-                elif ar > 0:
-                    new.append((r, z))
-                    pos.append((r, z, ar))
-                else:
-                    neg.append((r, z, ar))
-            for p, zp, ap in pos:
-                for q, zq, aq in neg:
-                    new.append((primitive(vsub(vscale(ap, q), vscale(aq, p))), zp & zq | bit))
+            values = [(r, z, dot(a, r)) for r, z in zeros.items()]
+            masks = list(zeros.values())
+            least = n - len(lines) - 2  # the codimension of a 2-face
+            zeros = {r: z if ar else z | bit for r, z, ar in values if ar >= 0}
+            above = [v for v in values if v[2] > 0]
+            below = [v for v in values if v[2] < 0]
+            for (p, zp, ap), (q, zq, aq) in product(above, below):
+                meet = zp & zq  # adjacent: no ray but p and q lies on it
+                if meet.bit_count() >= least and list(map(meet.__and__, masks)).count(meet) == 2:
+                    zeros[_combine(ap, q, aq, p)] = meet | bit
         processed += 1
-        zeros = _extreme({r: z for r, z in new if not is_zero_vec(r)}, (1 << processed) - 1)
-    lines = [tuple(r) for r in hermite_normal_form(lines)]
-    return lines, sorted(zeros)
+    return hermite_normal_form(lines), sorted(zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -475,43 +477,50 @@ class FaceDescriptor(NamedTuple):
     dim: int
 
 
+def _bits(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of ``mask``, in increasing order."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(out)
+
+
 def face_lattice(c: RationalCone) -> list[FaceDescriptor]:
     """All faces of c, each exactly once, ordered by (dim, span_rays).
 
-    Faces are intersections of facets; the meet-closure of the whole ray set
-    and the ray sets of the facets enumerates them all.  Ray sets are int
-    bitmasks, each facet's read off the rays' ``zero_sets``.  A facet vanishes
-    on a face exactly when its ray set contains the face's.  The face lattice
-    is graded (Ziegler, *Lectures on Polytopes*, §2.2): visiting ray sets
-    subsets first, a face is one dimension above its largest proper subfaces,
-    and the minimal face, the lineality space, has the dimension of its basis.
-    For a pointed cone that is the zero face, with an empty ``span_rays``.
+    Faces are intersections of facets: closing the whole ray set under meets
+    with the facets' ray sets (int bitmasks, read off the rays' ``zero_sets``)
+    enumerates them all.  A face's ``zero_normals`` are the meet of its rays'
+    zero sets.  The face lattice is graded (Ziegler, *Lectures on Polytopes*,
+    §2.2) and every facet of a face s is a proper meet ``s & f`` with a
+    facet's ray set f, so, visiting subsets first, s is one dimension above
+    its largest such meet: O(faces x facets).  The minimal face, the
+    lineality space, has the dimension of its basis; for a pointed cone that
+    is the zero face, with an empty ``span_rays``.
     """
     rays = c.rays
     masks = [c.zero_sets[r] for r in rays]
     normal_sets = [
         sum(1 << j for j, z in enumerate(masks) if z >> i & 1) for i in range(len(c.facets))
     ]
-    ray_sets = {(1 << len(rays)) - 1, *normal_sets}
-    work = list(ray_sets)
+    meets: dict[int, set[int]] = {}  # ray set -> its proper meets with the facets
+    work = [(1 << len(rays)) - 1]
     while work:
         s = work.pop()
-        for f in normal_sets:
-            t = s & f
-            if t not in ray_sets:
-                ray_sets.add(t)
-                work.append(t)
+        if s not in meets:
+            meets[s] = below = set(map(s.__and__, normal_sets))
+            below.discard(s)
+            work.extend(below)
+    full = (1 << len(c.facets)) - 1
     dims: dict[int, int] = {}
-    for s in sorted(ray_sets):  # a subset is a smaller int: subfaces come first
-        below = [d for g, d in dims.items() if g & s == g]
-        dims[s] = 1 + max(below) if below else len(c.lineality_basis)
-    faces = []
-    for s, dim in dims.items():
-        span = tuple(j for j in range(len(rays)) if s >> j & 1)
-        zero = tuple(i for i, t in enumerate(normal_sets) if s & t == s)
-        faces.append(FaceDescriptor(zero, span, dim))
-    faces.sort(key=lambda f: (f.dim, f.span_rays))
-    return faces
+    rows = []
+    for s in sorted(meets):  # a subset is a smaller int: subfaces come first
+        below = meets[s]
+        dim = dims[s] = 1 + max(map(dims.__getitem__, below)) if below else len(c.lineality_basis)
+        span = _bits(s)
+        rows.append((dim, span, _bits(reduce(and_, map(masks.__getitem__, span), full))))
+    return [FaceDescriptor(zero, span, dim) for dim, span, zero in sorted(rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ def _spec_from_payload(data: Any) -> DatumSpec:
         raise SpecError("datum file must contain a JSON object")
     unknown = sorted(set(data) - set(_SPEC_FIELDS))
     if unknown:
-        raise SpecError("unknown fields: " + ", ".join(unknown))
+        raise SpecError("unknown fields: " + ", ".join(map(repr, unknown)))
     missing = [f for f in ("torus_rank", "dominant_rank", "generators") if f not in data]
     if missing:
         raise SpecError("missing fields: " + ", ".join(missing))

@@ -94,6 +94,10 @@ class HorosphericalDatum(_DatumFields):
         return tuple(face_lattice(self.cone))
 
     @cached_property
+    def _face_set(self) -> frozenset[FaceDescriptor]:
+        return frozenset(self.faces)
+
+    @cached_property
     def generator_zero_sets(self) -> tuple[int, ...]:
         zeros, full = self.cone.zero_sets, (1 << len(self.cone.facets)) - 1
         return tuple(zeros.get(primitive(g), full) for g in self.generators)
@@ -243,12 +247,13 @@ def grading_for_face(datum: HorosphericalDatum, face: FaceDescriptor) -> Grading
     primitive integer vector.  Those facets and the lines spanned by the
     equations generate the dual face, so the sum lies in its relative
     interior.  No facet vanishes on the full cone, so there the zero
-    functional is returned (the trivial witness).
+    functional is returned (the trivial witness).  A face not in
+    ``datum.faces`` (one lookup in a set built once per datum) raises ValueError.
     """
     cone = datum.cone
     if not is_pointed(cone):
         raise NonPointedError("grading witnesses require a pointed cone")
-    if face not in datum.faces:
+    if face not in datum._face_set:
         raise ValueError("the given face does not belong to the cone's face lattice")
     total = (0,) * datum.ambient_rank
     for i in face.zero_normals:
@@ -287,7 +292,7 @@ def flexibility_verdict(datum: HorosphericalDatum) -> FlexibilityVerdict:
     """Certify flexibility or report why the datum is not covered.
 
     Units and non-normality each block the certificate; otherwise every face
-    of the weight cone receives a grading witness.
+    of the weight cone receives a grading witness, in time linear in the faces.
     """
     if units_exist(datum):
         return FlexibilityVerdict(FlexStatus.NOT_COVERED_UNITS_EXIST, (), None)

@@ -83,7 +83,7 @@ def test_parse_spec_rejects_duplicate_keys(tmp_path, capsys):
 
 
 def test_parse_spec_unknown_field():
-    with pytest.raises(SpecError, match="unknown fields: color"):
+    with pytest.raises(SpecError, match="unknown fields: 'color'"):
         parse_spec('{"torus_rank": 1, "dominant_rank": 0, "generators": [[1]], "color": 1}')
 
 

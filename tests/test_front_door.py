@@ -209,6 +209,12 @@ _SCALARS = (st.none(), st.booleans(), st.floats(), st.text(max_size=5),
 NOT_INTS = st.one_of(*_SCALARS, st.lists(st.integers(), max_size=3))
 NOT_LISTS = st.one_of(*_SCALARS, st.integers())
 WRONG_RANKS = st.one_of(NOT_INTS, st.integers(max_value=-1))
+# keys a datum file may not have: a newline, quotes, non-ASCII text
+ODD_KEYS = ("x\ny", "\n", "\r\n", 'a"b', "it's", "f\u00e4rbe", "\u8272", "\u2028", "\x00")
+FIELDS = ("torus_rank", "dominant_rank", "generators", "label")
+UNKNOWN_KEYS = st.one_of(
+    st.sampled_from(ODD_KEYS), st.text(max_size=6).filter(lambda k: k not in FIELDS)
+)
 
 
 def _with(field, value):
@@ -259,8 +265,9 @@ HOSTILE = st.one_of(
     st.lists(
         st.lists(st.integers(0, 2), max_size=4).filter(lambda row: len(row) != 2), min_size=1, max_size=3
     ).map(lambda rows: _with("generators", rows)),
-    # duplicate keys
+    # duplicate keys, and unknown keys
     _duplicate_keys(),
+    UNKNOWN_KEYS.map(lambda key: _dump(dict(VERONESE, **{key: 1}))),
     # about 10**5 nested brackets: closed, unclosed, and inside a field
     st.tuples(st.sampled_from(["list", "object"]), DEPTH).map(lambda t: _nested(*t).encode("utf-8")),
     DEPTH.map(lambda n: ("[" * n).encode("utf-8")),
@@ -300,6 +307,19 @@ def test_hostile_datum_files_give_one_line_errors(datums, content, command):
     with open(path, "wb") as fh:
         fh.write(content)
     _assert_one_line_error(call((command[0], path) + command[1:]), content[:80])
+    _assert_still_answers(datums)
+
+
+@pytest.mark.parametrize("key", ODD_KEYS)
+def test_unknown_keys_are_quoted(datums, key):
+    # each unknown key is printed as its repr, so the error stays on one line
+    path = datums["hostile"]
+    with open(path, "wb") as fh:
+        fh.write(_dump(dict(VERONESE, **{key: 1, "zz": 2})))
+    outcome = call(("check", path))
+    _assert_one_line_error(outcome, key)
+    quoted = ", ".join(map(repr, sorted([key, "zz"])))
+    assert outcome[2] == f"error: unknown fields: {quoted}\n"
     _assert_still_answers(datums)
 
 

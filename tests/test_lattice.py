@@ -616,11 +616,12 @@ def cones_with_lines(draw):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_double_description_matches_dot_product_route(seed):
-    # the carried zero-set masks must prune exactly as recomputed zero sets
-    # do.  Cones of rank 1-5 from up to 8 generators in the span of 1..rank
-    # random vectors (often not full-dimensional), a third with a line; the
-    # normals are the generators (the dual cone) and the cone's own facets
-    # with a ± pair per equation, so lines reach the double description too.
+    # combining only adjacent rays, judged by the carried zero-set masks, must
+    # keep exactly the rays that pruning by recomputed zero sets keeps.  Cones
+    # of rank 1-5 from up to 8 generators in the span of 1..rank random
+    # vectors (often not full-dimensional), a third with a line; the normals
+    # are the generators (the dual cone) and the cone's own facets with a ±
+    # pair per equation, so lines reach the double description too.
     # A seeded generator, because hypothesis's shrunk-toward-simple draws
     # rarely reach the rank-4 and rank-5 cones with many facets where a
     # wrong mask shows.
@@ -635,7 +636,19 @@ def test_double_description_matches_dot_product_route(seed):
         gens.append(tuple(-a for a in gens[0]))
     c = RationalCone(gens, rank)
     pairs = [v for e in c.equations for v in (e, tuple(-a for a in e))]
-    for normals in (gens, sorted([*c.facets, *pairs])):
+    facets = sorted([*c.facets, *pairs])
+    # rays are combined only when adjacent, and which pairs are adjacent at
+    # each step depends on the order of the normals: both lists again,
+    # shuffled, with a repeated normal, a zero normal and, for two facets or
+    # more, a redundant one (the sum of two facets)
+    zero = (0,) * rank
+    mixed = [[*gens, rng.choice(gens), zero]]
+    if len(c.facets) > 1:
+        f, g = rng.sample(c.facets, 2)
+        mixed.append([*facets, rng.choice(facets), zero, tuple(a + b for a, b in zip(f, g))])
+    for normals in mixed:
+        rng.shuffle(normals)
+    for normals in (gens, facets, *mixed):
         lines, rays = generators_from_inequalities(normals, rank)
         ref_lines, ref_rays = double_description_by_dots(normals, rank)
         assert rays == ref_rays
